@@ -305,20 +305,22 @@ pub fn save_envelope(path: &Path, config_hash: u64, payload: &[u8]) -> std::io::
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let mut buf = Vec::with_capacity(payload.len() + 36);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&config_hash.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut header = [0u8; 36];
+    header[..8].copy_from_slice(MAGIC);
+    header[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&config_hash.to_le_bytes());
+    header[20..28].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[28..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
     let tmp = path.with_extension(format!(
         "tmp.{}.{}",
         std::process::id(),
         TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(&buf)?;
+    // Header, then the payload in place: a multi-megabyte snapshot is
+    // never copied into a joined buffer.
+    f.write_all(&header)?;
+    f.write_all(payload)?;
     f.sync_all()?;
     drop(f);
     match std::fs::rename(&tmp, path) {
@@ -426,6 +428,22 @@ mod tests {
         let p = d.join("a.ckpt");
         save_envelope(&p, 7, b"hello snapshot").expect("save");
         assert_eq!(load_envelope(&p, 7).as_deref(), Some(&b"hello snapshot"[..]));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let d = tdir("pinned");
+        let p = d.join("a.ckpt");
+        save_envelope(&p, 0x0102_0304_0506_0708, b"abc").expect("save");
+        let mut want = b"CSCKPT01".to_vec();
+        want.extend_from_slice(&[5, 0, 0, 0]);
+        want.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        want.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]);
+        // FNV-1a 64 of "abc" is 0xe71fa2190541574b.
+        want.extend_from_slice(&[0x4b, 0x57, 0x41, 0x05, 0x19, 0xa2, 0x1f, 0xe7]);
+        want.extend_from_slice(b"abc");
+        assert_eq!(std::fs::read(&p).expect("read"), want);
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -6,6 +6,7 @@
 //! points of §3.3 (backed by the statistical profiles in
 //! `cs-trace::profile`).
 
+use cs_trace::source::PipelinedSource;
 use cs_trace::{TraceSource, WorkloadProfile};
 use cs_workloads::emit::RequestMeter;
 use std::sync::Arc;
@@ -76,11 +77,13 @@ impl std::fmt::Debug for Benchmark {
 }
 
 impl Benchmark {
-    /// Wraps a statistical workload profile.
+    /// Wraps a statistical workload profile; its sources run on the
+    /// trace-generation pool.
     pub fn from_profile(category: Category, profile: WorkloadProfile) -> Self {
         let name = profile.name.clone();
-        let factory: SourceFactory =
-            Arc::new(move |thread, seed| Box::new(profile.build_source(thread, seed)));
+        let factory: SourceFactory = Arc::new(move |thread, seed| {
+            Box::new(PipelinedSource::new(profile.build_source(thread, seed)))
+        });
         Self { name, category, factory, metered: None }
     }
 
@@ -155,64 +158,84 @@ impl Benchmark {
     // The suite.
     // -----------------------------------------------------------------
 
+    /// A mini application from `cs-workloads`: `plain` and `metered`
+    /// build its per-thread sources, which run on the trace-generation
+    /// pool.
+    fn scale_out<S, M>(
+        name: &str,
+        plain: fn(usize, u64) -> S,
+        metered: fn(usize, u64, RequestMeter) -> M,
+    ) -> Self
+    where
+        S: TraceSource + Send + 'static,
+        M: TraceSource + Send + 'static,
+    {
+        Self::from_factory(name, Category::ScaleOut, move |t, s| {
+            Box::new(PipelinedSource::new(plain(t, s)))
+        })
+        .with_metered_factory(move |t, s, meter| {
+            Box::new(PipelinedSource::metered(meter, |m| metered(t, s, m)))
+        })
+    }
+
     /// Data Serving: Cassandra + YCSB (§3.2).
     pub fn data_serving() -> Self {
-        Self::from_factory("Data Serving", Category::ScaleOut, |t, s| {
-            Box::new(cs_workloads::data_serving::DataServing::paper_setup().into_source(t, s))
-        })
-        .with_metered_factory(|t, s, m| {
-            Box::new(cs_workloads::data_serving::DataServing::paper_setup().into_source_metered(t, s, m))
-        })
+        use cs_workloads::data_serving::DataServing as W;
+        Self::scale_out(
+            "Data Serving",
+            |t, s| W::paper_setup().into_source(t, s),
+            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
+        )
     }
 
     /// MapReduce: Hadoop + Mahout Bayesian classification (§3.2).
     pub fn mapreduce() -> Self {
-        Self::from_factory("MapReduce", Category::ScaleOut, |t, s| {
-            Box::new(cs_workloads::mapreduce::MapReduce::paper_setup().into_source(t, s))
-        })
-        .with_metered_factory(|t, s, m| {
-            Box::new(cs_workloads::mapreduce::MapReduce::paper_setup().into_source_metered(t, s, m))
-        })
+        use cs_workloads::mapreduce::MapReduce as W;
+        Self::scale_out(
+            "MapReduce",
+            |t, s| W::paper_setup().into_source(t, s),
+            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
+        )
     }
 
     /// Media Streaming: Darwin Streaming Server (§3.2).
     pub fn media_streaming() -> Self {
-        Self::from_factory("Media Streaming", Category::ScaleOut, |t, s| {
-            Box::new(cs_workloads::media_streaming::MediaStreaming::paper_setup().into_source(t, s))
-        })
-        .with_metered_factory(|t, s, m| {
-            Box::new(cs_workloads::media_streaming::MediaStreaming::paper_setup().into_source_metered(t, s, m))
-        })
+        use cs_workloads::media_streaming::MediaStreaming as W;
+        Self::scale_out(
+            "Media Streaming",
+            |t, s| W::paper_setup().into_source(t, s),
+            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
+        )
     }
 
     /// SAT Solver: Klee / Cloud9 (§3.2).
     pub fn sat_solver() -> Self {
-        Self::from_factory("SAT Solver", Category::ScaleOut, |t, s| {
-            Box::new(cs_workloads::sat_solver::SatSolver::paper_setup().into_source(t, s))
-        })
-        .with_metered_factory(|t, s, m| {
-            Box::new(cs_workloads::sat_solver::SatSolver::paper_setup().into_source_metered(t, s, m))
-        })
+        use cs_workloads::sat_solver::SatSolver as W;
+        Self::scale_out(
+            "SAT Solver",
+            |t, s| W::paper_setup().into_source(t, s),
+            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
+        )
     }
 
     /// Web Frontend: Nginx + PHP serving Olio (§3.2).
     pub fn web_frontend() -> Self {
-        Self::from_factory("Web Frontend", Category::ScaleOut, |t, s| {
-            Box::new(cs_workloads::web_frontend::WebFrontend::paper_setup().into_source(t, s))
-        })
-        .with_metered_factory(|t, s, m| {
-            Box::new(cs_workloads::web_frontend::WebFrontend::paper_setup().into_source_metered(t, s, m))
-        })
+        use cs_workloads::web_frontend::WebFrontend as W;
+        Self::scale_out(
+            "Web Frontend",
+            |t, s| W::paper_setup().into_source(t, s),
+            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
+        )
     }
 
     /// Web Search: Nutch/Lucene index serving node (§3.2).
     pub fn web_search() -> Self {
-        Self::from_factory("Web Search", Category::ScaleOut, |t, s| {
-            Box::new(cs_workloads::web_search::WebSearch::paper_setup().into_source(t, s))
-        })
-        .with_metered_factory(|t, s, m| {
-            Box::new(cs_workloads::web_search::WebSearch::paper_setup().into_source_metered(t, s, m))
-        })
+        use cs_workloads::web_search::WebSearch as W;
+        Self::scale_out(
+            "Web Search",
+            |t, s| W::paper_setup().into_source(t, s),
+            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
+        )
     }
 
     /// The six CloudSuite scale-out workloads, in figure order.

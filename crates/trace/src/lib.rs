@@ -7,7 +7,8 @@
 //! - the [`MicroOp`] model that every workload produces and that the core
 //!   model in `cs-uarch` consumes ([`op`]);
 //! - the pull-based [`TraceSource`] abstraction connecting workloads to
-//!   cores ([`source`]);
+//!   cores, and the generator pool that synthesizes a stream ahead of
+//!   its core ([`source`]);
 //! - deterministic random samplers used throughout the suite, notably the
 //!   rejection-inversion Zipf sampler ([`zipf`]) that drives both
 //!   instruction-footprint reuse and the YCSB-style data popularity

@@ -14,6 +14,7 @@ use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
 use cs_trace::{MicroOp, TraceSource, WorkloadProfile};
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration of the index serving node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,8 +78,10 @@ impl WebSearch {
 pub struct IndexNode {
     cfg: WebSearch,
     term_zipf: Zipf,
-    /// Per-term posting list start offsets (entries), by popularity rank.
-    offsets: Vec<u64>,
+    /// Posting-list bounds (entries) by popularity rank: rank `r`'s list
+    /// spans `offsets[r - 1]..offsets[r]`. Shared by every node of one
+    /// configuration (see [`posting_offsets`]).
+    offsets: Arc<[u64]>,
     postings_addr: u64,
     /// Total shard size in bytes (exposed for tests/examples).
     pub shard_bytes: u64,
@@ -90,12 +93,8 @@ impl IndexNode {
     /// Lays out the shard: posting lists sorted by term rank, long lists
     /// first (popular terms have more documents).
     pub fn new(cfg: WebSearch) -> Self {
-        let mut offsets = Vec::with_capacity(cfg.n_terms as usize);
-        let mut total = 0u64;
-        for rank in 1..=cfg.n_terms {
-            offsets.push(total);
-            total += Self::list_len_static(&cfg, rank);
-        }
+        let offsets = posting_offsets(&cfg);
+        let total = offsets[offsets.len() - 1];
         let mut heap = SimHeap::new();
         let shard_bytes = total * cfg.posting_bytes;
         let postings_addr = heap.alloc_lines(shard_bytes);
@@ -115,12 +114,34 @@ impl IndexNode {
     }
 
     fn list_len(&self, rank: u64) -> u64 {
-        Self::list_len_static(&self.cfg, rank)
+        self.offsets[rank as usize] - self.offsets[(rank - 1) as usize]
     }
 
     fn entry_addr(&self, rank: u64, i: u64) -> u64 {
         self.postings_addr + (self.offsets[(rank - 1) as usize] + i) * self.cfg.posting_bytes
     }
+}
+
+/// The posting-list bounds of `cfg`, `n_terms + 1` prefix sums of
+/// [`IndexNode::list_len_static`], computed once per distinct
+/// configuration per process: every thread's node of every run shares one
+/// table instead of recomputing 150,000 `powf` lengths.
+fn posting_offsets(cfg: &WebSearch) -> Arc<[u64]> {
+    static TABLES: Mutex<Vec<(WebSearch, Arc<[u64]>)>> = Mutex::new(Vec::new());
+    let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, table)) = tables.iter().find(|(c, _)| c == cfg) {
+        return Arc::clone(table);
+    }
+    let mut offsets = Vec::with_capacity(cfg.n_terms as usize + 1);
+    let mut total = 0u64;
+    offsets.push(total);
+    for rank in 1..=cfg.n_terms {
+        total += IndexNode::list_len_static(cfg, rank);
+        offsets.push(total);
+    }
+    let table: Arc<[u64]> = offsets.into();
+    tables.push((*cfg, Arc::clone(&table)));
+    table
 }
 
 impl RequestApp for IndexNode {
@@ -203,6 +224,19 @@ mod tests {
             let end = node.offsets[(rank - 1) as usize] + node.list_len(rank);
             assert!(end <= node.offsets[rank as usize], "lists overlap at rank {rank}");
         }
+    }
+
+    #[test]
+    fn list_lengths_come_from_one_shared_table() {
+        let cfg = WebSearch { n_terms: 500, max_postings: 40_000, ..WebSearch::paper_setup() };
+        let node = IndexNode::new(cfg);
+        for rank in 1..=cfg.n_terms {
+            assert_eq!(node.list_len(rank), IndexNode::list_len_static(&cfg, rank), "rank {rank}");
+        }
+        let twin = IndexNode::new(cfg);
+        assert!(Arc::ptr_eq(&node.offsets, &twin.offsets), "nodes of one config share a table");
+        let other = IndexNode::new(WebSearch { n_terms: 400, ..cfg });
+        assert!(!Arc::ptr_eq(&node.offsets, &other.offsets));
     }
 
     #[test]
