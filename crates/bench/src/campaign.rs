@@ -24,13 +24,15 @@
 //! same configuration produce byte-identical manifests.
 //!
 //! Experiments are mutually independent, so the runner fans them over
-//! [`RunConfig::jobs`] worker threads ([`cloudsuite::par::par_map`]);
-//! sweep experiments additionally parallelize their own config points
-//! with the same knob. Every unit stays isolated — a worker-thread panic
-//! is caught and recorded as that experiment's `failed` entry, never
-//! aborting its siblings — and because outcomes are collected in campaign
-//! order and the manifest map is key-sorted, the final `manifest.json`
-//! and every result file are byte-identical at any `jobs` value.
+//! [`RunConfig::jobs`] lanes ([`cloudsuite::par::par_map`]); sweep
+//! experiments fan their own config points out on the same lane budget,
+//! so the whole pass keeps at most `jobs` lanes working. Every unit stays
+//! isolated — a worker-thread panic is caught and recorded as that
+//! experiment's `failed` entry, never aborting its siblings — and because
+//! outcomes are collected in campaign order and the manifest map is
+//! key-sorted, the final `manifest.json` and every result file are
+//! byte-identical at any `jobs` value. Each finished experiment's
+//! wall-clock goes to stderr only.
 //!
 //! Experiments share runs, too: the base run of each workload feeds
 //! Figures 1, 2, 3, 5 and 7. One pass simulates each distinct run once
@@ -66,6 +68,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 /// A shareable experiment builder: runs the experiment and renders its
 /// report.
@@ -425,6 +428,7 @@ pub fn run_with(
             memo: Arc::clone(&memo),
             ..CheckpointCtl::new(ckpt_root.clone(), e.name)
         };
+        let start = Instant::now();
         // `run_one` already catches panics inside the experiment body; this
         // outer guard is the campaign-level backstop that converts a panic
         // escaping anywhere on the worker (result emission included) into
@@ -448,6 +452,11 @@ pub fn run_with(
                 e.name
             );
             return status;
+        }
+        // Wall-clock is host-dependent, so it goes to stderr only: never
+        // into the results tree or the manifest.
+        if matches!(status, ExperimentStatus::Ok { .. }) {
+            eprintln!("[campaign] {}: ok in {:.2} s", e.name, start.elapsed().as_secs_f64());
         }
         let mut entries = manifest.lock().unwrap_or_else(PoisonError::into_inner);
         entries.insert(e.name.to_string(), manifest_entry(&fp, &status));

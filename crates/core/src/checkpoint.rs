@@ -53,7 +53,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
 use crate::errors::HarnessError;
 use crate::harness::RunResult;
@@ -170,9 +170,11 @@ impl CheckpointCtl {
 ///
 /// Each key has its own slot, locked by its first caller for as long as it
 /// simulates; a caller that reaches the same key meanwhile waits for that
-/// result. Only successful runs are stored. A failed or interrupted run
-/// leaves its slot empty, and the next caller simulates it again and meets
-/// the same error, so failure handling and retries see no memo at all.
+/// result, with its [`crate::par`] lane handed back so another item can
+/// run in its place. Only successful runs are stored. A failed or
+/// interrupted run leaves its slot empty, and the next caller simulates it
+/// again and meets the same error, so failure handling and retries see no
+/// memo at all.
 ///
 /// `cycle_skip` is not in the string: it only moves the inspect-only
 /// [`RunResult::cycles_skipped`], and a campaign pass runs every
@@ -199,7 +201,15 @@ impl RunMemo {
             let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(slots.entry(canon).or_default())
         };
-        let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        // A slot that is locked is being simulated on another lane: hand
+        // this thread's lane back while it waits for that result.
+        let mut held = match slot.try_lock() {
+            Ok(held) => held,
+            Err(TryLockError::Poisoned(held)) => held.into_inner(),
+            Err(TryLockError::WouldBlock) => crate::par::blocking(|| {
+                slot.lock().unwrap_or_else(PoisonError::into_inner)
+            }),
+        };
         if let Some(result) = held.as_ref() {
             self.reused.fetch_add(1, Ordering::Relaxed);
             return Ok(result.clone());
@@ -412,7 +422,7 @@ pub fn load_envelope(path: &Path, config_hash: u64) -> Option<Vec<u8>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn tdir(name: &str) -> PathBuf {
@@ -552,7 +562,7 @@ mod tests {
     }
 
     /// A result that only its name and cycle count tell apart.
-    fn stub(name: &str, cycles: u64) -> RunResult {
+    pub(crate) fn stub(name: &str, cycles: u64) -> RunResult {
         RunResult {
             name: name.to_owned(),
             cycles,

@@ -12,6 +12,7 @@ use crate::harness::{run_strict, RunConfig};
 use crate::registry::Benchmark;
 use cs_perf::{Report, Table};
 use serde::Serialize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Normalized user-IPC of the three series at one effective capacity.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -36,12 +37,9 @@ pub fn groups() -> (Vec<Benchmark>, Vec<Benchmark>, Benchmark) {
     (scale_out, server, Benchmark::mcf())
 }
 
-fn group_ipc(benches: &[Benchmark], cfg: &RunConfig) -> Result<f64, HarnessError> {
-    let mut sum = 0.0;
-    for b in benches {
-        sum += run_strict(b, cfg)?.app_ipc();
-    }
-    Ok(sum / benches.len() as f64)
+/// The mean of `ipcs`, summed in order (as the serial sweep summed them).
+fn mean(ipcs: &[f64]) -> f64 {
+    ipcs.iter().fold(0.0, |sum, ipc| sum + ipc) / ipcs.len() as f64
 }
 
 /// Raw (unnormalized) group IPCs measured at one LLC configuration.
@@ -54,11 +52,13 @@ struct CapacityPoint {
 /// Sweeps effective LLC capacities `4..=11` MB (plus the 12 MB baseline)
 /// and returns normalized user-IPC per group.
 ///
-/// Each capacity point — the unpolluted baseline included — is one
-/// independent unit, fanned over [`RunConfig::jobs`] threads
-/// ([`crate::par::par_map`]). Raw group IPCs are measured per point and
-/// normalized to the baseline afterwards, so the division order (and
-/// every result byte) matches the serial sweep.
+/// Each run — one benchmark at one capacity point, the unpolluted
+/// baseline included — is one independent unit, fanned over
+/// [`RunConfig::jobs`] lanes ([`crate::par::par_map`]). Units this short
+/// let a lane that frees up late join the sweep at the next run rather
+/// than the next capacity point. Raw group IPCs are averaged per point
+/// and normalized to the baseline afterwards, so the summation and
+/// division order (and every result byte) matches the serial sweep.
 pub fn collect(cfg: &RunConfig) -> Result<Vec<Fig4Row>, HarnessError> {
     let (scale_out, server, mcf) = groups();
     // The polluters walk their arrays at LLC speed; every run — including
@@ -72,16 +72,36 @@ pub fn collect(cfg: &RunConfig) -> Result<Vec<Fig4Row>, HarnessError> {
             (mb, RunConfig { polluter_bytes, warmup_instr: warmup, ..cfg.clone() })
         })
         .collect();
-    let points: Vec<CapacityPoint> =
-        crate::par::par_map(cfg.jobs, &configs, |_, (_, point_cfg)| {
-            Ok(CapacityPoint {
-                scale_out: group_ipc(&scale_out, point_cfg)?,
-                server: group_ipc(&server, point_cfg)?,
-                mcf: run_strict(&mcf, point_cfg)?.app_ipc(),
-            })
+    // Per point: the scale-out group, then the server group, then mcf.
+    let per_point: Vec<&Benchmark> =
+        scale_out.iter().chain(&server).chain(std::iter::once(&mcf)).collect();
+    let units: Vec<(&RunConfig, &Benchmark)> =
+        configs.iter().flat_map(|(_, c)| per_point.iter().map(move |&b| (c, b))).collect();
+    // Once a run has failed, later runs are skipped (`None`): the sweep
+    // reports the lowest-indexed failure, which always runs, as the
+    // serial sweep did.
+    let failed = AtomicUsize::new(usize::MAX);
+    let ipcs = crate::par::par_map(cfg.jobs, &units, |i, &(point_cfg, b)| {
+        if failed.load(Ordering::Relaxed) < i {
+            return None;
+        }
+        let ipc = run_strict(b, point_cfg).map(|r| r.app_ipc());
+        if ipc.is_err() {
+            failed.fetch_min(i, Ordering::Relaxed);
+        }
+        Some(ipc)
+    })
+    .into_iter()
+    .map_while(|ipc| ipc)
+    .collect::<Result<Vec<f64>, HarnessError>>()?;
+    let points: Vec<CapacityPoint> = ipcs
+        .chunks(per_point.len())
+        .map(|point| {
+            let (so, rest) = point.split_at(scale_out.len());
+            let (srv, mcf) = rest.split_at(server.len());
+            CapacityPoint { scale_out: mean(so), server: mean(srv), mcf: mcf[0] }
         })
-        .into_iter()
-        .collect::<Result<_, HarnessError>>()?;
+        .collect();
 
     let base = &points[0];
     Ok(points[1..]

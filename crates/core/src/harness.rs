@@ -118,8 +118,10 @@ pub struct RunConfig {
     /// that commits nothing for this long aborts the run with
     /// [`HarnessError::Stalled`]. `0` disables the watchdog.
     pub watchdog_grace: u64,
-    /// Worker threads the campaign and sweep layers may fan independent
-    /// runs over ([`crate::par::par_map`]). `1` (the default) runs
+    /// Lanes the campaign and sweep layers may fan independent runs over
+    /// ([`crate::par::par_map`]). The outermost fan-out owns a budget of
+    /// `jobs` lanes and nested fan-outs draw from it, so at most `jobs`
+    /// runs work at once at any nesting depth. `1` (the default) runs
     /// everything serially on the calling thread. This knob never touches
     /// a single simulated run — every run is seeded and single-threaded —
     /// so results are byte-identical at any value, and it is deliberately

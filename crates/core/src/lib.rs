@@ -26,9 +26,10 @@
 //! - [`config`] — the declarative knob registry behind the campaign
 //!   binaries: every `--flag`/`CS_*` pair is declared once and parsing,
 //!   precedence, and `--help` are derived from the registry;
-//! - [`par`] — the deterministic worker pool ([`par::par_map`]) that the
-//!   sweep experiments and the campaign layer fan independent, seeded
-//!   runs over ([`harness::RunConfig::jobs`] sets the width);
+//! - [`par`] — the deterministic fan-out ([`par::par_map`]) that the
+//!   sweep experiments and the campaign layer spread independent, seeded
+//!   runs over, nested calls sharing one lane budget
+//!   ([`harness::RunConfig::jobs`] sets its size);
 //! - [`sampling`] — the SMARTS sampling machine shared by the harness:
 //!   window phases, the per-window statistics accumulator, and their
 //!   checkpoint codecs;
