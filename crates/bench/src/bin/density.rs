@@ -3,23 +3,11 @@
 
 use cloudsuite::experiments::density;
 use cloudsuite::Benchmark;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let cfg = cs_bench::config_from_env();
-    for bench in [Benchmark::web_search(), Benchmark::data_serving()] {
-        let name = format!("density_{}", bench.name().to_lowercase().replace(' ', "_"));
-        let rows = match density::collect(&bench, &cfg) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = cs_bench::emit(&density::report(bench.name(), &rows), &name) {
-            eprintln!("{name}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    cs_bench::per_workload_main(
+        "density",
+        &[Benchmark::web_search(), Benchmark::data_serving()],
+        |bench, cfg| Ok(density::report(bench.name(), &density::collect(bench, cfg)?)),
+    )
 }

@@ -1,7 +1,5 @@
 //! Regenerates Figure 1: execution-time breakdown and memory cycles.
 
-use cloudsuite::experiments::fig1;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("fig1", |cfg| Ok(fig1::report(&fig1::collect(cfg)?)))
+    cs_bench::experiment_main("fig1")
 }

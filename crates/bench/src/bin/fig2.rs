@@ -1,7 +1,5 @@
 //! Regenerates Figure 2: L1-I and L2 instruction miss rates.
 
-use cloudsuite::experiments::fig2;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("fig2", |cfg| Ok(fig2::report(&fig2::collect(cfg)?)))
+    cs_bench::experiment_main("fig2")
 }

@@ -1,7 +1,5 @@
 //! Regenerates Figure 3: IPC and MLP, baseline vs SMT.
 
-use cloudsuite::experiments::fig3;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("fig3", |cfg| Ok(fig3::report(&fig3::collect(cfg)?)))
+    cs_bench::experiment_main("fig3")
 }

@@ -1,8 +1,6 @@
 //! Regenerates Figure 4: performance sensitivity to LLC capacity
 //! (cache-polluter methodology).
 
-use cloudsuite::experiments::fig4;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("fig4", |cfg| Ok(fig4::report(&fig4::collect(cfg)?)))
+    cs_bench::experiment_main("fig4")
 }

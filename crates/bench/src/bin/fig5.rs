@@ -1,7 +1,5 @@
 //! Regenerates Figure 5: L2 hit ratios vs prefetcher configuration.
 
-use cloudsuite::experiments::fig5;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("fig5", |cfg| Ok(fig5::report(&fig5::collect(cfg)?)))
+    cs_bench::experiment_main("fig5")
 }

@@ -1,7 +1,5 @@
 //! Regenerates Figure 6: read-write sharing (threads split across sockets).
 
-use cloudsuite::experiments::fig6;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("fig6", |cfg| Ok(fig6::report(&fig6::collect(cfg)?)))
+    cs_bench::experiment_main("fig6")
 }

@@ -1,7 +1,5 @@
 //! Regenerates Figure 7: off-chip memory bandwidth utilization.
 
-use cloudsuite::experiments::fig7;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("fig7", |cfg| Ok(fig7::report(&fig7::collect(cfg)?)))
+    cs_bench::experiment_main("fig7")
 }

@@ -12,11 +12,6 @@
 //! transition ledger included — after every simulated point. Results are
 //! byte-identical across reruns and `CS_JOBS` values.
 
-use cloudsuite::experiments::fleet_resilience;
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    cs_bench::figure_main("fleet_resilience", |cfg| {
-        Ok(fleet_resilience::report(&fleet_resilience::collect(cfg)?))
-    })
+fn main() -> std::process::ExitCode {
+    cs_bench::experiment_main("fleet_resilience")
 }

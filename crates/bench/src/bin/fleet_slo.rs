@@ -9,11 +9,6 @@
 //! simulated point. Results are byte-identical across reruns and `CS_JOBS`
 //! values.
 
-use cloudsuite::experiments::fleet_slo;
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    cs_bench::figure_main("fleet_slo", |cfg| {
-        Ok(fleet_slo::report(&fleet_slo::collect(cfg)?))
-    })
+fn main() -> std::process::ExitCode {
+    cs_bench::experiment_main("fleet_slo")
 }

@@ -3,23 +3,9 @@
 
 use cloudsuite::experiments::footnote3;
 use cloudsuite::Benchmark;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let cfg = cs_bench::config_from_env();
-    for bench in Benchmark::scale_out_suite() {
-        let name = format!("footnote3_{}", bench.name().to_lowercase().replace(' ', "_"));
-        let rows = match footnote3::collect(&bench, &cfg) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = cs_bench::emit(&footnote3::report(&rows), &name) {
-            eprintln!("{name}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    cs_bench::per_workload_main("footnote3", &Benchmark::scale_out_suite(), |bench, cfg| {
+        Ok(footnote3::report(&footnote3::collect(bench, cfg)?))
+    })
 }

@@ -5,8 +5,6 @@
 //! `CS_MATRIX_WORKLOADS` (comma-separated roster keys) restricts the
 //! matrix for smoke runs; see EXPERIMENTS.md.
 
-use cloudsuite::experiments::interference_matrix as im;
-
 fn main() -> std::process::ExitCode {
-    cs_bench::figure_main("interference_matrix", |cfg| Ok(im::report(&im::collect(cfg)?)))
+    cs_bench::experiment_main("interference_matrix")
 }

@@ -1,14 +1,5 @@
 //! Regenerates Table 1 (architectural parameters).
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let machine = cloudsuite::MachineConfig::default();
-    match cs_bench::emit(&cloudsuite::experiments::table1::report(&machine), "table1") {
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("table1: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    cs_bench::experiment_main("table1")
 }

@@ -2,23 +2,11 @@
 
 use cloudsuite::experiments::trends;
 use cloudsuite::Benchmark;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let cfg = cs_bench::config_from_env();
-    for bench in [Benchmark::data_serving(), Benchmark::web_search()] {
-        let name = format!("trends_{}", bench.name().to_lowercase().replace(' ', "_"));
-        let rows = match trends::collect(&bench, &cfg) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = cs_bench::emit(&trends::report(bench.name(), &rows), &name) {
-            eprintln!("{name}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    cs_bench::per_workload_main(
+        "trends",
+        &[Benchmark::data_serving(), Benchmark::web_search()],
+        |bench, cfg| Ok(trends::report(bench.name(), &trends::collect(bench, cfg)?)),
+    )
 }

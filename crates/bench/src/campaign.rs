@@ -56,8 +56,10 @@
 //! results byte-identical to a never-interrupted campaign. Checkpoints of
 //! an experiment are deleted once its result file is durably emitted.
 
-use cloudsuite::checkpoint::{with_checkpointing, CheckpointCtl, RunMemo, DEFAULT_CADENCE_CYCLES};
-use cloudsuite::experiments as exp;
+use cloudsuite::checkpoint::{
+    with_checkpointing, write_atomic, CheckpointCtl, RunMemo, DEFAULT_CADENCE_CYCLES,
+};
+use cloudsuite::experiments::{self as exp, ablations as abl, ablations::VariantRow};
 use cloudsuite::harness::RunConfig;
 use cloudsuite::sampling::PhaseTelemetry;
 use cloudsuite::{Benchmark, HarnessError, MachineConfig};
@@ -98,111 +100,80 @@ impl Experiment {
 /// estimates, and the co-location interference matrix. The names are the
 /// manifest keys and result-file stems.
 pub fn experiments() -> Vec<Experiment> {
-    fn table1(_cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::table1::report(&MachineConfig::default()))
+    // `report(&collect(cfg)?)` of one experiment module, keyed by the
+    // module's name unless a manifest key is given.
+    macro_rules! figure {
+        ($module:ident) => {
+            figure!(stringify!($module), $module)
+        };
+        ($name:expr, $module:ident) => {
+            Experiment::new($name, |cfg| Ok(exp::$module::report(&exp::$module::collect(cfg)?)))
+        };
     }
-    fn fig1(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fig1::report(&exp::fig1::collect(cfg)?))
-    }
-    fn fig2(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fig2::report(&exp::fig2::collect(cfg)?))
-    }
-    fn fig3(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fig3::report(&exp::fig3::collect(cfg)?))
-    }
-    fn fig4(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fig4::report(&exp::fig4::collect(cfg)?))
-    }
-    fn fig5(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fig5::report(&exp::fig5::collect(cfg)?))
-    }
-    fn fig6(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fig6::report(&exp::fig6::collect(cfg)?))
-    }
-    fn fig7(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fig7::report(&exp::fig7::collect(cfg)?))
-    }
-    fn a1(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        let scale_out = Benchmark::scale_out_suite();
-        Ok(exp::ablations::report_a1(&exp::ablations::a1_mediocre_cores(
-            &scale_out[..2],
-            cfg,
-        )?))
-    }
-    fn a2(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::ablations::report_variant(
-            "Ablation A2: modest 4 MB LLC (§4.3 implication)",
-            "Scale-out performance is nearly unchanged when the LLC shrinks to 4 MB.",
-            &exp::ablations::a2_small_llc(&Benchmark::scale_out_suite(), cfg)?,
-        ))
-    }
-    fn a3(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::ablations::report_variant(
-            "Ablation A3: DCU streamer disabled (§4.3)",
-            "The L1-D streamer provides no benefit to scale-out workloads.",
-            &exp::ablations::a3_no_dcu(&Benchmark::scale_out_suite(), cfg)?,
-        ))
-    }
-    fn a4(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::ablations::report_variant(
-            "Ablation A4: one DDR3 channel (§4.4 implication)",
-            "Scaling off-chip bandwidth back leaves scale-out performance essentially unchanged.",
-            &exp::ablations::a4_one_channel(&Benchmark::scale_out_suite(), cfg)?,
-        ))
-    }
-    fn a5(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::ablations::report_variant(
-            "Ablation A5: 128 KB L1-I opportunity study (§4.1 implication)",
-            "What bringing instructions closer to the cores would buy.",
-            &exp::ablations::a5_big_l1i(&Benchmark::scale_out_suite(), cfg)?,
-        ))
-    }
-    fn a6(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::ablations::report_variant(
-            "Ablation A6: L1-I next-line prefetcher disabled (§4.1)",
-            "The next-line prefetcher is inadequate for scale-out control flow.",
-            &exp::ablations::a6_no_instr_prefetch(&Benchmark::scale_out_suite(), cfg)?,
-        ))
-    }
-    fn a8(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::ablations::report_variant(
-            "Ablation A8: narrower on-chip interconnect (§4.4 implication)",
-            "Slower LLC and cross-socket paths barely move scale-out performance.",
-            &exp::ablations::a8_narrow_interconnect(&Benchmark::scale_out_suite(), cfg)?,
-        ))
-    }
-    fn fleet_slo(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fleet_slo::report(&exp::fleet_slo::collect(cfg)?))
-    }
-    fn sampled_ipc(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::sampled::report(&exp::sampled::collect(cfg)?))
-    }
-    fn interference_matrix(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::interference_matrix::report(&exp::interference_matrix::collect(cfg)?))
-    }
-    fn fleet_resilience(cfg: &RunConfig) -> Result<Report, HarnessError> {
-        Ok(exp::fleet_resilience::report(&exp::fleet_resilience::collect(cfg)?))
+    // An ablation variant over the scale-out suite, under its title and
+    // the claim it tests.
+    fn variant(
+        name: &'static str,
+        title: &'static str,
+        claim: &'static str,
+        rows: fn(&[Benchmark], &RunConfig) -> Result<Vec<VariantRow>, HarnessError>,
+    ) -> Experiment {
+        Experiment::new(name, move |cfg| {
+            Ok(abl::report_variant(title, claim, &rows(&Benchmark::scale_out_suite(), cfg)?))
+        })
     }
     vec![
-        Experiment::new("table1", table1),
-        Experiment::new("fig1", fig1),
-        Experiment::new("fig2", fig2),
-        Experiment::new("fig3", fig3),
-        Experiment::new("fig4", fig4),
-        Experiment::new("fig5", fig5),
-        Experiment::new("fig6", fig6),
-        Experiment::new("fig7", fig7),
-        Experiment::new("ablation_a1", a1),
-        Experiment::new("ablation_a2", a2),
-        Experiment::new("ablation_a3", a3),
-        Experiment::new("ablation_a4", a4),
-        Experiment::new("ablation_a5", a5),
-        Experiment::new("ablation_a6", a6),
-        Experiment::new("ablation_a8", a8),
-        Experiment::new("fleet_slo", fleet_slo),
-        Experiment::new("sampled_ipc", sampled_ipc),
-        Experiment::new("interference_matrix", interference_matrix),
-        Experiment::new("fleet_resilience", fleet_resilience),
+        Experiment::new("table1", |_| Ok(exp::table1::report(&MachineConfig::default()))),
+        figure!(fig1),
+        figure!(fig2),
+        figure!(fig3),
+        figure!(fig4),
+        figure!(fig5),
+        figure!(fig6),
+        figure!(fig7),
+        Experiment::new("ablation_a1", |cfg| {
+            Ok(abl::report_a1(&abl::a1_mediocre_cores(&Benchmark::scale_out_suite()[..2], cfg)?))
+        }),
+        variant(
+            "ablation_a2",
+            "Ablation A2: modest 4 MB LLC (§4.3 implication)",
+            "Scale-out performance is nearly unchanged when the LLC shrinks to 4 MB.",
+            abl::a2_small_llc,
+        ),
+        variant(
+            "ablation_a3",
+            "Ablation A3: DCU streamer disabled (§4.3)",
+            "The L1-D streamer provides no benefit to scale-out workloads.",
+            abl::a3_no_dcu,
+        ),
+        variant(
+            "ablation_a4",
+            "Ablation A4: one DDR3 channel (§4.4 implication)",
+            "Scaling off-chip bandwidth back leaves scale-out performance essentially unchanged.",
+            abl::a4_one_channel,
+        ),
+        variant(
+            "ablation_a5",
+            "Ablation A5: 128 KB L1-I opportunity study (§4.1 implication)",
+            "What bringing instructions closer to the cores would buy.",
+            abl::a5_big_l1i,
+        ),
+        variant(
+            "ablation_a6",
+            "Ablation A6: L1-I next-line prefetcher disabled (§4.1)",
+            "The next-line prefetcher is inadequate for scale-out control flow.",
+            abl::a6_no_instr_prefetch,
+        ),
+        variant(
+            "ablation_a8",
+            "Ablation A8: narrower on-chip interconnect (§4.4 implication)",
+            "Slower LLC and cross-socket paths barely move scale-out performance.",
+            abl::a8_narrow_interconnect,
+        ),
+        figure!(fleet_slo),
+        figure!("sampled_ipc", sampled),
+        figure!(interference_matrix),
+        figure!(fleet_resilience),
     ]
 }
 
@@ -678,25 +649,13 @@ fn write_manifest(path: &Path, entries: &Map<String, Value>) -> std::io::Result<
     write_json(path, root)
 }
 
-/// Writes `root` as pretty JSON to `path`, creating its directory.
-/// Atomic, like every other artifact: a kill mid-rewrite must leave the
+/// Writes `root` as pretty JSON plus a trailing newline to `path`,
+/// atomically like every other artifact: a kill mid-rewrite must leave the
 /// previous file intact, not a torn one a resume pass would misread.
 fn write_json(path: &Path, root: Map<String, Value>) -> std::io::Result<()> {
-    use std::io::Write;
     let text = serde_json::to_string_pretty(&Value::Object(root))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(text.as_bytes())?;
-    f.write_all(b"\n")?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+    write_atomic(path, &[text.as_bytes(), b"\n"])
 }
 
 fn up_to_date(manifest: &Map<String, Value>, name: &str, fp: &str, results_dir: &Path) -> bool {
@@ -1119,10 +1078,11 @@ mod tests {
         // First pass: two units land.
         write_telemetry(&dir, &[unit("alpha", 1, 2), unit("beta", 2, 3)]);
         assert_eq!(telemetry_units(&dir).len(), 2);
-        assert!(
-            !dir.join(format!("telemetry.json.tmp.{}", std::process::id())).exists(),
-            "the temp file must not outlive the rename"
-        );
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("telemetry dir")
+            .filter_map(|e| Some(e.ok()?.file_name()))
+            .collect();
+        assert_eq!(files, ["telemetry.json"], "the temp file must not outlive the rename");
 
         // Resumed pass re-ran only beta (new numbers) plus a new unit:
         // alpha survives, beta is replaced, gamma appends.

@@ -1,10 +1,17 @@
-//! Shared plumbing for the figure-regeneration binaries and benches.
+//! The regeneration binaries and the campaign engine behind them.
 //!
-//! Every table and figure of the paper has a binary (`table1`, `fig1` …
-//! `fig7`, `all_figures`) that runs the corresponding experiment from
-//! `cloudsuite::experiments`, prints the rows, and writes a JSON copy under
-//! `results/`. Window sizes are tunable through environment variables so CI
-//! smoke runs and full reproductions share one binary:
+//! [`campaign::experiments`] is the one table of experiments: Table 1,
+//! Figures 1–7, the ablations, the fleet studies, the sampled estimates
+//! and the interference matrix, each a name plus the closure that builds
+//! its report. `all_figures` runs the whole table as a resumable campaign.
+//! Each single-experiment binary (`table1`, `fig1` … `fig7`, `fleet_slo`,
+//! `fleet_resilience`, `interference_matrix`) is one call to
+//! [`experiment_main`], which runs that table entry once, prints the rows
+//! and writes a JSON copy under `results/`. The per-workload studies
+//! (`density`, `trends`, `footnote3`) share [`per_workload_main`]. None of
+//! these binaries takes an argument. Window sizes are tunable through
+//! environment variables so CI smoke runs and full reproductions share one
+//! binary:
 //!
 //! - `CS_WARMUP` — warmup instructions (default 1,600,000)
 //! - `CS_MEASURE` — measured instructions (default 3,200,000)
@@ -45,9 +52,10 @@
 //!   `gray_fleet`, `rack_outage`, `metastable`) restricting the
 //!   fleet-resilience experiment (the `all_figures --fleet-scenarios`
 //!   flag outranks it); unknown keys are a loud configuration error.
-//!   Unknown `CS_*` variables themselves are rejected by the flag-parsing
-//!   binaries with a nearest-knob suggestion, so a typo like
-//!   `CS_SAMPLE_WINDOW` fails loudly instead of silently doing nothing.
+//!   Unknown `CS_*` variables themselves are rejected (exit 2, before
+//!   anything is simulated) by every binary but `inspect`, with a
+//!   nearest-knob suggestion, so a typo like `CS_SAMPLE_WINDOW` fails
+//!   loudly instead of silently doing nothing.
 //! - `CS_LLC_BYTES` — override the LLC capacity in bytes. CI smoke runs
 //!   shrink it so short windows still produce real cache pressure.
 //!
@@ -84,8 +92,10 @@
 #![warn(clippy::unwrap_used)]
 #![warn(clippy::perf)]
 
+use cloudsuite::checkpoint::write_atomic;
+use cloudsuite::config::RunConfigBuilder;
 use cloudsuite::harness::RunConfig;
-use cloudsuite::HarnessError;
+use cloudsuite::{Benchmark, HarnessError};
 use cs_perf::Report;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -99,14 +109,14 @@ pub mod signal;
 /// ([`cloudsuite::config::RunConfigBuilder::campaign`]), which is the
 /// single place every `CS_*` variable and its precedence is declared.
 pub fn config_from_env() -> RunConfig {
-    cloudsuite::config::RunConfigBuilder::campaign("cs-bench").settings_from_env().run
+    RunConfigBuilder::campaign("cs-bench").settings_from_env().run
 }
 
 /// A failed attempt to write a result file: the path that could not be
 /// written and the underlying I/O error.
 #[derive(Debug)]
 pub struct EmitError {
-    /// The file or directory the write failed on.
+    /// The file the write failed on.
     pub path: PathBuf,
     /// The underlying I/O error.
     pub source: std::io::Error,
@@ -146,59 +156,91 @@ pub fn emit(report: &Report, name: &str) -> Result<Emitted, EmitError> {
     emit_to(Path::new("results"), report, name)
 }
 
-/// Prints the report and writes its JSON twin under `<dir>/<name>.json`,
-/// returning the written path and content checksum.
-///
-/// The write is atomic: the bytes go to a uniquely-named temp file in the
-/// same directory, are fsynced, and renamed over the destination — a crash
-/// (or a kill signal) at any point leaves either the complete old file or
-/// the complete new one, never a torn result that a resume pass would
-/// trust.
+/// Prints the report and writes its JSON twin under `<dir>/<name>.json`
+/// ([`cloudsuite::checkpoint::write_atomic`]: a crash or a kill signal at
+/// any point leaves either the complete old file or the complete new one,
+/// never a torn result that a resume pass would trust), returning the
+/// written path and content checksum.
 pub fn emit_to(dir: &Path, report: &Report, name: &str) -> Result<Emitted, EmitError> {
-    use std::io::Write;
     println!("{report}");
-    std::fs::create_dir_all(dir)
-        .map_err(|source| EmitError { path: dir.to_path_buf(), source })?;
     let path = dir.join(format!("{name}.json"));
     let bytes = report.to_json().into_bytes();
-    let tmp = dir.join(format!(".{name}.json.tmp.{}", std::process::id()));
-    let write_atomic = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, &path)
-    };
-    write_atomic().map_err(|source| {
-        let _ = std::fs::remove_file(&tmp);
-        EmitError { path: path.clone(), source }
-    })?;
+    write_atomic(&path, &[&bytes]).map_err(|source| EmitError { path: path.clone(), source })?;
     eprintln!("(wrote {})", path.display());
     Ok(Emitted { path, checksum: content_checksum(&bytes) })
 }
 
-/// Standard `main` body for a single-figure binary: builds the config
-/// from the environment, runs `body`, emits the report, and converts
-/// every failure into a message on stderr plus a failing exit code.
-pub fn figure_main(
-    name: &str,
-    body: fn(&RunConfig) -> Result<Report, HarnessError>,
+/// The configuration a single-run binary named `prog` runs under, from
+/// the campaign's knob registry. A misspelled `CS_*` variable or any
+/// command-line argument is a usage error: it is reported on stderr and
+/// comes back as exit code 2, before anything is simulated.
+fn config_or_usage(prog: &'static str) -> Result<RunConfig, ExitCode> {
+    let builder = RunConfigBuilder::campaign(prog);
+    if let Err(e) = builder.check_env() {
+        eprintln!("{e}");
+        return Err(ExitCode::from(2));
+    }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument: {arg}");
+        eprintln!("usage: {prog} (takes no arguments; `all_figures --help` lists the CS_* knobs)");
+        return Err(ExitCode::from(2));
+    }
+    Ok(builder.settings_from_env().run)
+}
+
+/// Emits `result` under `name`; on a harness or I/O error prints it and
+/// returns `false`.
+fn emit_result(name: &str, result: Result<Report, HarnessError>) -> bool {
+    let written = result.map_err(|e| e.to_string()).and_then(|report| {
+        emit(&report, name).map_err(|e| e.to_string())
+    });
+    if let Err(e) = &written {
+        eprintln!("{name}: {e}");
+    }
+    written.is_ok()
+}
+
+/// `main` of a single-experiment binary: runs the
+/// [`campaign::experiments`] entry called `name` once under the
+/// environment's configuration (no checkpoints, run memo or retries) and
+/// writes `results/<name>.json`. Exit codes: `0` written, `1` the
+/// experiment or the write failed, `2` usage error.
+pub fn experiment_main(name: &'static str) -> ExitCode {
+    let cfg = match config_or_usage(name) {
+        Ok(cfg) => cfg,
+        Err(code) => return code,
+    };
+    let Some(e) = campaign::experiments().into_iter().find(|e| e.name == name) else {
+        eprintln!("{name}: not an experiment of the campaign");
+        return ExitCode::FAILURE;
+    };
+    if emit_result(name, (e.build)(&cfg)) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// `main` of a per-workload study binary (`density`, `trends`,
+/// `footnote3`): runs `build` for each of `benches` in turn and writes
+/// `results/<prog>_<workload>.json`, stopping at the first failure. Exit
+/// codes as for [`experiment_main`].
+pub fn per_workload_main(
+    prog: &'static str,
+    benches: &[Benchmark],
+    build: fn(&Benchmark, &RunConfig) -> Result<Report, HarnessError>,
 ) -> ExitCode {
-    let cfg = config_from_env();
-    let report = match body(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{name}: {e}");
+    let cfg = match config_or_usage(prog) {
+        Ok(cfg) => cfg,
+        Err(code) => return code,
+    };
+    for bench in benches {
+        let name = format!("{prog}_{}", bench.name().to_lowercase().replace(' ', "_"));
+        if !emit_result(&name, build(bench, &cfg)) {
             return ExitCode::FAILURE;
         }
-    };
-    match emit(&report, name) {
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            ExitCode::FAILURE
-        }
     }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

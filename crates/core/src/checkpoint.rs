@@ -305,41 +305,49 @@ pub fn unit_file(key: u64) -> String {
     format!("{key:016x}.ckpt")
 }
 
-/// Writes `payload` to `path` atomically: a uniquely-named temp file in the
-/// same directory is written, checksummed, `fsync`ed and renamed over the
-/// destination. A crash at any point leaves either the old file or the new
-/// one — never a torn hybrid (a torn temp file is ignored by readers and
-/// harmless).
-pub fn save_envelope(path: &Path, config_hash: u64, payload: &[u8]) -> std::io::Result<()> {
+/// Writes the concatenation of `parts` to `path` atomically, creating its
+/// directory: the bytes go to a temp file next to `path` (named after it,
+/// plus the process id and a per-process counter, so concurrent writers
+/// never collide), are `fsync`ed and renamed over the destination. A crash
+/// at any point leaves either the old file or the new one, never a torn
+/// hybrid; on an error the temp file is removed. Every artifact the
+/// campaign writes (result files, the manifest, telemetry, snapshots) goes
+/// through here.
+pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     use std::io::Write;
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
+    let mut tmp = path.as_os_str().to_owned();
+    let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".tmp.{}.{n}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let write = || -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(&tmp, path)
+    };
+    write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// Writes a checkpoint envelope for `payload` to `path` atomically
+/// ([`write_atomic`]). Readers ignore a torn temp file, so it is harmless.
+pub fn save_envelope(path: &Path, config_hash: u64, payload: &[u8]) -> std::io::Result<()> {
     let mut header = [0u8; 36];
     header[..8].copy_from_slice(MAGIC);
     header[8..12].copy_from_slice(&VERSION.to_le_bytes());
     header[12..20].copy_from_slice(&config_hash.to_le_bytes());
     header[20..28].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     header[28..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let mut f = std::fs::File::create(&tmp)?;
     // Header, then the payload in place: a multi-megabyte snapshot is
     // never copied into a joined buffer.
-    f.write_all(&header)?;
-    f.write_all(payload)?;
-    f.sync_all()?;
-    drop(f);
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    write_atomic(path, &[&header, payload])
 }
 
 /// Atomically renames a structurally corrupt snapshot to `<name>.corrupt`

@@ -3,9 +3,10 @@
 //! Historically every binary hand-rolled its own `--flag`/`CS_ENV` parsing
 //! and the three copies drifted. This module replaces that with a single
 //! registry: each knob declares its flag name, metavariable, environment
-//! variable(s), help line, and setter **once** ([`Knob`]), and
-//! [`RunConfigBuilder`] derives everything else — environment resolution,
-//! argument parsing, the usage line, and `--help` output.
+//! variable(s), help line, and setter **once** in
+//! [`RunConfigBuilder::campaign`], and the builder derives everything
+//! else — environment resolution, argument parsing, the usage line, and
+//! `--help` output.
 //!
 //! Precedence is the historical contract, unchanged:
 //!
@@ -52,12 +53,6 @@ pub struct CampaignSettings {
     /// `--max-retries`/`CS_MAX_RETRIES`: transient-failure retry cap
     /// override (`None` keeps the engine default).
     pub max_retries: Option<u32>,
-    /// `--out`: output path override for single-file binaries.
-    pub out: Option<PathBuf>,
-    /// `--force`: overwrite baseline sections that were measured on a
-    /// host with a different core count (`bench_campaign` refuses
-    /// otherwise, so wall-clock history stays comparable).
-    pub force: bool,
 }
 
 impl Default for CampaignSettings {
@@ -69,8 +64,6 @@ impl Default for CampaignSettings {
             ckpt_cycles: None,
             interrupt_after: None,
             max_retries: None,
-            out: None,
-            force: false,
         }
     }
 }
@@ -96,7 +89,7 @@ type Apply = Box<dyn Fn(&mut CampaignSettings, &str) -> bool>;
 
 /// One knob, declared once: flag, environment variable(s), help, and the
 /// setter. Everything the binaries print or parse derives from these.
-pub struct Knob {
+struct Knob {
     flag: Option<&'static str>,
     metavar: Option<&'static str>,
     envs: &'static [&'static str],
@@ -113,7 +106,7 @@ pub struct Knob {
 
 impl Knob {
     /// A boolean flag (no value), e.g. `--resume`.
-    pub fn switch(
+    fn switch(
         flag: &'static str,
         envs: &'static [&'static str],
         help: &'static str,
@@ -123,7 +116,7 @@ impl Knob {
     }
 
     /// A flag taking a value, e.g. `--jobs N`.
-    pub fn valued(
+    fn valued(
         flag: &'static str,
         metavar: &'static str,
         envs: &'static [&'static str],
@@ -143,7 +136,7 @@ impl Knob {
     }
 
     /// A knob with no flag form, e.g. `CS_SEED`.
-    pub fn env_only(
+    fn env_only(
         envs: &'static [&'static str],
         help: &'static str,
         apply: impl Fn(&mut CampaignSettings, &str) -> bool + 'static,
@@ -151,9 +144,9 @@ impl Knob {
         Self { flag: None, metavar: None, envs, help, invalid: "", apply: Box::new(apply), env_apply: None }
     }
 
-    /// Overrides the environment-side setter (see [`Knob::env_apply`]).
+    /// Overrides the environment-side setter (see `env_apply`).
     #[must_use]
-    pub fn with_env_apply(
+    fn with_env_apply(
         mut self,
         env_apply: impl Fn(&mut CampaignSettings, &str) -> bool + 'static,
     ) -> Self {
@@ -170,20 +163,21 @@ pub struct RunConfigBuilder {
 
 impl RunConfigBuilder {
     /// An empty registry for `prog` (the binary name in usage output).
-    pub fn new(prog: &'static str) -> Self {
+    fn new(prog: &'static str) -> Self {
         Self { prog, knobs: Vec::new() }
     }
 
     /// Registers a knob.
     #[must_use]
-    pub fn knob(mut self, k: Knob) -> Self {
+    fn knob(mut self, k: Knob) -> Self {
         self.knobs.push(k);
         self
     }
 
-    /// The standard campaign registry: every knob `all_figures` (and the
-    /// single-figure binaries via [`RunConfigBuilder::settings_from_env`])
-    /// understands, declared exactly once.
+    /// The campaign registry: every knob `all_figures` (and the
+    /// single-experiment binaries via [`RunConfigBuilder::check_env`] and
+    /// [`RunConfigBuilder::settings_from_env`]) understands, declared
+    /// exactly once. It is the only registry there is.
     pub fn campaign(prog: &'static str) -> Self {
         Self::new(prog)
             .knob(Knob::switch("--resume", &[], "skip experiments whose result is up to date", |s, _| {

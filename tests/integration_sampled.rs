@@ -127,3 +127,38 @@ fn sampled_kill_and_resume_matches_uninterrupted() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Sampling stays honest at length: a 50M-instruction full-detail Data
+/// Serving measurement must fall inside the 95% interval of a SMARTS
+/// schedule spanning the same execution region — ten 20k-instruction
+/// windows, each after a 4.95M-instruction functional fast-forward and a
+/// 30k-instruction detailed re-warm (10 x (4.95M + 30k + 20k) = 50M).
+/// Recorded at 0.6329 inside [0.6124, 0.6737].
+#[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-heavy; run under --release")]
+fn full_detail_ipc_falls_inside_the_sampled_interval_at_50m() {
+    let full_cfg = RunConfig {
+        warmup_instr: 500_000,
+        measure_instr: 50_000_000,
+        ..RunConfig::default()
+    };
+    let sampled_cfg = RunConfig {
+        measure_instr: 200_000,
+        sample_windows: 10,
+        sample_period: 4_950_000,
+        sample_warmup_instr: 30_000,
+        ..full_cfg.clone()
+    };
+    let bench = Benchmark::data_serving();
+    let full = cloudsuite::harness::run_strict(&bench, &full_cfg).expect("full-detail run");
+    let sampled = cloudsuite::harness::run_strict(&bench, &sampled_cfg).expect("sampled run");
+    assert_eq!(sampled.samples.len(), 10, "every window must be measured");
+    let n = sampled.cores.len();
+    let stat: cs_perf::RunningStat = sampled.samples.iter().map(|s| s.ipc(n)).collect();
+    let (lo, hi) = stat.ci95();
+    let ipc = full.ipc();
+    assert!(
+        lo <= ipc && ipc <= hi,
+        "full-detail IPC {ipc:.4} outside the sampled 95% interval [{lo:.4}, {hi:.4}]"
+    );
+}
