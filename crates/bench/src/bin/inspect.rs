@@ -3,15 +3,23 @@
 //! Usage: `inspect [workload-name-substring]` — runs the matching
 //! workloads (all by default) under the standard 4-core setup and prints
 //! IPC, MLP, stall/memory fractions, instruction miss rates, L2 hit
-//! ratio, sharing and bandwidth. The environment variables `CS_WARMUP` /
-//! `CS_MEASURE` / `CS_SEED` select the window sizes.
+//! ratio, sharing and bandwidth. The campaign's `CS_*` knobs (`CS_WARMUP`,
+//! `CS_MEASURE`, `CS_SEED`, ...) configure the runs; an unknown `CS_*`
+//! variable is a usage error (exit 2) before anything is simulated.
 
+use cloudsuite::config::RunConfigBuilder;
 use cloudsuite::harness::run;
 use cloudsuite::Benchmark;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    let builder = RunConfigBuilder::campaign("inspect");
+    if let Err(e) = builder.check_env() {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
+    let cfg = builder.settings_from_env().run;
     let filter = std::env::args().nth(1).unwrap_or_default().to_lowercase();
-    let cfg = cs_bench::config_from_env();
     println!(
         "{:<16} {:>5} {:>5} {:>5} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7} {:>6}",
         "workload", "ipc", "app", "mlp", "stall", "mem", "l1i/k", "l2i/k", "l2hit", "share%", "bw%"
@@ -47,4 +55,5 @@ fn main() {
             ba + bo
         );
     }
+    ExitCode::SUCCESS
 }

@@ -53,9 +53,9 @@
 //!   fleet-resilience experiment (the `all_figures --fleet-scenarios`
 //!   flag outranks it); unknown keys are a loud configuration error.
 //!   Unknown `CS_*` variables themselves are rejected (exit 2, before
-//!   anything is simulated) by every binary but `inspect`, with a
-//!   nearest-knob suggestion, so a typo like `CS_SAMPLE_WINDOW` fails
-//!   loudly instead of silently doing nothing.
+//!   anything is simulated) by every binary, with a nearest-knob
+//!   suggestion, so a typo like `CS_SAMPLE_WINDOW` fails loudly instead
+//!   of silently doing nothing.
 //! - `CS_LLC_BYTES` — override the LLC capacity in bytes. CI smoke runs
 //!   shrink it so short windows still produce real cache pressure.
 //!
@@ -102,15 +102,6 @@ use std::process::ExitCode;
 
 pub mod campaign;
 pub mod signal;
-
-/// Builds the run configuration from the environment.
-///
-/// A thin wrapper over the declarative knob registry
-/// ([`cloudsuite::config::RunConfigBuilder::campaign`]), which is the
-/// single place every `CS_*` variable and its precedence is declared.
-pub fn config_from_env() -> RunConfig {
-    RunConfigBuilder::campaign("cs-bench").settings_from_env().run
-}
 
 /// A failed attempt to write a result file: the path that could not be
 /// written and the underlying I/O error.
@@ -246,14 +237,6 @@ pub fn per_workload_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_defaults_apply() {
-        let cfg = config_from_env();
-        assert!(cfg.warmup_instr > 0);
-        assert!(cfg.measure_instr > 0);
-        assert!(cfg.max_cycles > 0);
-    }
 
     #[test]
     fn emit_error_names_the_path() {

@@ -3,11 +3,12 @@
 //! (`density`) treat a removed flag, a misspelled `CS_*` variable or, for
 //! the last two, any argument at all as a usage error (exit 2) instead of
 //! silently running an experiment configured differently than the
-//! operator believes.
+//! operator believes. `inspect` rejects a misspelled variable too.
 //!
 //! No invocation can start a long run if the check regresses: each passes
 //! `--help`, which `all_figures` answers with exit 0 and the other
 //! binaries reject, or sets `CS_MEASURE=0`, which fails the first run.
+//! `inspect` gets the filter `zzz`, which names no workload.
 
 use std::process::{Command, Output};
 
@@ -62,4 +63,15 @@ fn single_run_binaries_take_no_arguments() {
         assert_eq!(out.status.code(), Some(2), "{bin}: stderr: {stderr}");
         assert!(stderr.contains("unknown argument: --jobs"), "{bin}: {stderr}");
     }
+}
+
+#[test]
+fn inspect_rejects_a_misspelled_env_knob() {
+    let exe = env!("CARGO_BIN_EXE_inspect");
+    let out = run(exe, &["zzz"], &[("CS_SAMPLE_WINDOW", "4")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown environment knob CS_SAMPLE_WINDOW"), "{stderr}");
+    let out = run(exe, &["zzz"], &[("CS_SEED", "7")]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }

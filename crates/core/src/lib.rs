@@ -70,7 +70,7 @@ mod run_pin;
 pub use errors::{AuditError, ConfigError, HarnessError};
 pub use harness::{run, run_strict, RunConfig, RunResult, RunStatus};
 pub use machine::MachineConfig;
-pub use registry::{Benchmark, Category, RegistryError};
+pub use registry::{Benchmark, Category};
 
 // Re-exported so harness users can describe fault plans without naming
 // cs-memsys directly.

@@ -4,36 +4,12 @@
 //! CloudSuite scale-out workloads of §3.2 (backed by the mini application
 //! implementations in `cs-workloads`) and the traditional comparison
 //! points of §3.3 (backed by the statistical profiles in
-//! `cs-trace::profile`).
+//! `cs_trace::profile`).
 
 use cs_trace::source::PipelinedSource;
 use cs_trace::{TraceSource, WorkloadProfile};
 use cs_workloads::emit::RequestMeter;
 use std::sync::Arc;
-
-/// A registry-level failure: a capability was requested that the workload
-/// does not provide.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// Request metering was required but the workload has no metered
-    /// factory (statistical profiles have no request notion).
-    MeterUnsupported {
-        /// Name of the workload that cannot meter requests.
-        workload: String,
-    },
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegistryError::MeterUnsupported { workload } => {
-                write!(f, "workload {workload:?} does not support request metering")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
 
 /// Workload class, as the paper groups its figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,21 +100,6 @@ impl Benchmark {
         }
     }
 
-    /// Like [`Benchmark::build_source_metered`], but for callers that
-    /// *require* a meter: returns a typed [`RegistryError`] instead of an
-    /// `Option` when the workload cannot count requests.
-    pub fn build_source_metered_strict(
-        &self,
-        thread: usize,
-        seed: u64,
-    ) -> Result<(Box<dyn TraceSource>, RequestMeter), RegistryError> {
-        let (source, meter) = self.build_source_metered(thread, seed);
-        match meter {
-            Some(meter) => Ok((source, meter)),
-            None => Err(RegistryError::MeterUnsupported { workload: self.name.clone() }),
-        }
-    }
-
     /// Workload name as it appears in the paper's figures.
     pub fn name(&self) -> &str {
         &self.name
@@ -158,84 +119,55 @@ impl Benchmark {
     // The suite.
     // -----------------------------------------------------------------
 
-    /// A mini application from `cs-workloads`: `plain` and `metered`
-    /// build its per-thread sources, which run on the trace-generation
-    /// pool.
-    fn scale_out<S, M>(
+    /// A mini application from `cs-workloads`: `build` makes its
+    /// per-thread sources, metered or not, which run on the
+    /// trace-generation pool.
+    fn scale_out<S: TraceSource + Send + 'static>(
         name: &str,
-        plain: fn(usize, u64) -> S,
-        metered: fn(usize, u64, RequestMeter) -> M,
-    ) -> Self
-    where
-        S: TraceSource + Send + 'static,
-        M: TraceSource + Send + 'static,
-    {
+        build: fn(usize, u64, Option<RequestMeter>) -> S,
+    ) -> Self {
         Self::from_factory(name, Category::ScaleOut, move |t, s| {
-            Box::new(PipelinedSource::new(plain(t, s)))
+            Box::new(PipelinedSource::new(build(t, s, None)))
         })
         .with_metered_factory(move |t, s, meter| {
-            Box::new(PipelinedSource::metered(meter, |m| metered(t, s, m)))
+            Box::new(PipelinedSource::metered(meter, |m| build(t, s, Some(m))))
         })
     }
 
     /// Data Serving: Cassandra + YCSB (§3.2).
     pub fn data_serving() -> Self {
         use cs_workloads::data_serving::DataServing as W;
-        Self::scale_out(
-            "Data Serving",
-            |t, s| W::paper_setup().into_source(t, s),
-            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
-        )
+        Self::scale_out("Data Serving", |t, s, m| W::paper_setup().into_source(t, s, m))
     }
 
     /// MapReduce: Hadoop + Mahout Bayesian classification (§3.2).
     pub fn mapreduce() -> Self {
         use cs_workloads::mapreduce::MapReduce as W;
-        Self::scale_out(
-            "MapReduce",
-            |t, s| W::paper_setup().into_source(t, s),
-            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
-        )
+        Self::scale_out("MapReduce", |t, s, m| W::paper_setup().into_source(t, s, m))
     }
 
     /// Media Streaming: Darwin Streaming Server (§3.2).
     pub fn media_streaming() -> Self {
         use cs_workloads::media_streaming::MediaStreaming as W;
-        Self::scale_out(
-            "Media Streaming",
-            |t, s| W::paper_setup().into_source(t, s),
-            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
-        )
+        Self::scale_out("Media Streaming", |t, s, m| W::paper_setup().into_source(t, s, m))
     }
 
     /// SAT Solver: Klee / Cloud9 (§3.2).
     pub fn sat_solver() -> Self {
         use cs_workloads::sat_solver::SatSolver as W;
-        Self::scale_out(
-            "SAT Solver",
-            |t, s| W::paper_setup().into_source(t, s),
-            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
-        )
+        Self::scale_out("SAT Solver", |t, s, m| W::paper_setup().into_source(t, s, m))
     }
 
     /// Web Frontend: Nginx + PHP serving Olio (§3.2).
     pub fn web_frontend() -> Self {
         use cs_workloads::web_frontend::WebFrontend as W;
-        Self::scale_out(
-            "Web Frontend",
-            |t, s| W::paper_setup().into_source(t, s),
-            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
-        )
+        Self::scale_out("Web Frontend", |t, s, m| W::paper_setup().into_source(t, s, m))
     }
 
     /// Web Search: Nutch/Lucene index serving node (§3.2).
     pub fn web_search() -> Self {
         use cs_workloads::web_search::WebSearch as W;
-        Self::scale_out(
-            "Web Search",
-            |t, s| W::paper_setup().into_source(t, s),
-            |t, s, m| W::paper_setup().into_source_metered(t, s, m),
-        )
+        Self::scale_out("Web Search", |t, s, m| W::paper_setup().into_source(t, s, m))
     }
 
     /// The six CloudSuite scale-out workloads, in figure order.
@@ -313,10 +245,8 @@ mod tests {
     #[test]
     fn scale_out_benchmarks_support_request_metering() {
         for b in Benchmark::scale_out_suite() {
-            let (mut src, meter) = match b.build_source_metered_strict(0, 3) {
-                Ok(pair) => pair,
-                Err(e) => panic!("{e}"),
-            };
+            let (mut src, meter) = b.build_source_metered(0, 3);
+            let meter = meter.expect("scale-out workloads meter requests");
             for _ in 0..20_000 {
                 src.next_op();
             }
@@ -332,11 +262,6 @@ mod tests {
     fn profile_benchmarks_have_no_meter() {
         let (_, meter) = Benchmark::mcf().build_source_metered(0, 3);
         assert!(meter.is_none());
-        let err = Benchmark::mcf()
-            .build_source_metered_strict(0, 3)
-            .map(|_| ())
-            .expect_err("profiles cannot meter requests");
-        assert_eq!(err, RegistryError::MeterUnsupported { workload: "SPECint (mcf)".into() });
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! splits on: instruction vs. data, and application vs. operating system.
 
 use crate::dram::DramStats;
-use cs_perf::CounterSet;
 use cs_trace::Privilege;
 use serde::Serialize;
 
@@ -316,46 +315,6 @@ pub struct MemStats {
     pub dram: DramStats,
 }
 
-impl MemStats {
-    /// Exports every counter into a flat [`CounterSet`] (used by the
-    /// determinism tests and JSON output).
-    pub fn to_counters(&self) -> CounterSet {
-        let mut c = CounterSet::new();
-        for (i, core) in self.per_core.iter().enumerate() {
-            let p = |name: &str| format!("core{i}.{name}");
-            for (lname, level) in [
-                ("l1i", &core.l1i),
-                ("l1d", &core.l1d),
-                ("l2", &core.l2),
-                ("llc", &core.llc),
-            ] {
-                for class in AccessClass::all() {
-                    c.set(
-                        p(&format!("{lname}.acc.{}", class.idx())),
-                        level.accesses[class.idx()],
-                    );
-                    c.set(p(&format!("{lname}.hit.{}", class.idx())), level.hits[class.idx()]);
-                }
-            }
-            c.set(p("rw_shared.user"), core.rw_shared[0]);
-            c.set(p("rw_shared.kernel"), core.rw_shared[1]);
-            c.set(p("upgrades"), core.upgrades);
-            c.set(p("dram_bytes.user"), core.dram_bytes[0]);
-            c.set(p("dram_bytes.kernel"), core.dram_bytes[1]);
-            c.set(p("pf.adj"), core.prefetch.issued_adjacent);
-            c.set(p("pf.stride"), core.prefetch.issued_stride);
-            c.set(p("pf.dcu"), core.prefetch.issued_dcu);
-            c.set(p("pf.instr"), core.prefetch.issued_instr);
-            c.set(p("tlb.itlb_miss"), core.tlb.itlb_misses);
-            c.set(p("tlb.stlb_miss"), core.tlb.stlb_misses);
-        }
-        c.set("dram.reads", self.dram.reads);
-        c.set("dram.writes", self.dram.writes);
-        c.set("dram.bytes", self.dram.bytes);
-        c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,15 +385,5 @@ mod tests {
         let mut back = CoreMemStats::default();
         back.restore_snap(&mut d).expect("restore");
         assert_eq!(back, b);
-    }
-
-    #[test]
-    fn counters_export_is_deterministic() {
-        let mut m = MemStats { per_core: vec![CoreMemStats::default(); 2], ..Default::default() };
-        m.per_core[1].upgrades = 7;
-        let c = m.to_counters();
-        assert_eq!(c.get("core1.upgrades"), 7);
-        assert_eq!(c.get("core0.upgrades"), 0);
-        assert_eq!(m.to_counters(), c);
     }
 }

@@ -1,11 +1,10 @@
-//! Performance-counter surface and derived metrics for CloudSuite-RS.
+//! Derived metrics and reports for CloudSuite-RS.
 //!
 //! The paper's entire methodology (§3.1) is built on hardware performance
-//! counters read through VTune. This crate is the simulator's equivalent
-//! surface:
+//! counters read through VTune. The simulator's counters are typed structs
+//! (`cs_uarch::CoreStats`, `cs_memsys::MemStats`); this crate turns them
+//! into what the figures show:
 //!
-//! - [`counters`] — a named counter set, mergeable across cores and runs,
-//!   used for determinism checks and machine-readable experiment output;
 //! - [`metrics`] — the derived-metric formulas used throughout the figures
 //!   (IPC, misses-per-kilo-instruction, hit ratios, utilization) plus
 //!   running statistics and histograms;
@@ -18,10 +17,8 @@
 #![warn(clippy::unwrap_used)]
 #![warn(clippy::perf)]
 
-pub mod counters;
 pub mod metrics;
 pub mod report;
 
-pub use counters::CounterSet;
 pub use metrics::{mpki, percent, ratio, Histogram, RunningStat};
 pub use report::{Report, Table};

@@ -1,39 +1,14 @@
-//! Property tests of the counter and metric types.
+//! Property tests of the metric types.
 //!
 //! Each property runs over `CASES` seeded cases: case `c` draws its inputs
 //! from `stream_rng(SEED, c)`, so a failure names the case that rebuilds
 //! it.
 
-use cs_perf::{CounterSet, Histogram};
-use cs_trace::rng::{stream_rng, SmallRng};
+use cs_perf::Histogram;
+use cs_trace::rng::stream_rng;
 
 const CASES: u64 = 256;
 const SEED: u64 = 0x9E7F_0001;
-
-/// Up to five counters named `a`..`d` (repeated names collapse), each
-/// below 1000.
-fn arb_counters(g: &mut SmallRng) -> CounterSet {
-    let n = g.gen_range(0..6usize);
-    (0..n)
-        .map(|_| (["a", "b", "c", "d"][g.gen_range(0..4usize)].to_owned(), g.gen_range(0..1000u64)))
-        .collect()
-}
-
-/// merge is associative over values and delta_from undoes merge.
-#[test]
-fn merge_and_delta() {
-    for case in 0..CASES {
-        let mut g = stream_rng(SEED, case);
-        let a = arb_counters(&mut g);
-        let b = arb_counters(&mut g);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let recovered = merged.delta_from(&a);
-        for (k, v) in b.iter() {
-            assert_eq!(recovered.get(k), v, "case {case}: counter {k}");
-        }
-    }
-}
 
 /// Histogram totals equal the number of recorded observations, and the
 /// nonzero mean is at least 1 when any nonzero value was recorded.

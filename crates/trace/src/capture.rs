@@ -177,14 +177,14 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_every_op() {
-        let mut src = WorkloadProfile::data_serving().build_source(0, 99);
+        let mut src = WorkloadProfile::tpcc().build_source(0, 99);
         let trace = RecordedTrace::record(&mut src, 5_000);
         assert_eq!(trace.len(), 5_000);
         let mut buf = Vec::new();
         trace.save(&mut buf).expect("in-memory write");
         let back = RecordedTrace::load(&mut buf.as_slice()).expect("parse");
         assert_eq!(back, trace);
-        assert_eq!(back.label(), "Data Serving");
+        assert_eq!(back.label(), "TPC-C");
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! - the simulated virtual address-space layout ([`layout`]);
 //! - statistical workload profiles ([`profile`]) for the traditional
 //!   comparison benchmarks (SPECint, PARSEC, SPECweb09, TPC-C, TPC-E, Web
-//!   Backend) of the paper's §3.3;
+//!   Backend) of the paper's §3.3 only — the six scale-out workloads are
+//!   the mini applications of `cs-workloads`, which borrow just the
+//!   [`profile::IlpModel`] and [`profile::OsProfile`] types from here;
 //! - the synthetic trace source ([`synth`]) that combines all of the above,
 //!   plus the operating-system overlay that interleaves kernel-mode
 //!   execution bursts into any application-level source;

@@ -3,15 +3,14 @@
 //! A [`WorkloadProfile`] is the declarative description of a workload's
 //! micro-architectural character: instruction footprint, instruction mix,
 //! data-access mixture, instruction-level-parallelism structure and
-//! operating-system involvement. Profiles serve two roles in the suite:
-//!
-//! 1. they define the *traditional* comparison benchmarks of the paper's
-//!    §3.3 (SPEC CINT2006 cpu/mem groups, PARSEC cpu/mem groups, SPECweb09,
-//!    TPC-C, TPC-E, Web Backend, plus the `mcf` outlier used in Figure 4),
-//!    for which only the statistical characterization matters; and
-//! 2. they provide profile-level twins of the six scale-out workloads whose
-//!    first-class implementations live in `cs-workloads`, used for fast
-//!    parameter sweeps.
+//! operating-system involvement. Profiles define the *traditional*
+//! comparison benchmarks of the paper's §3.3 (SPEC CINT2006 cpu/mem
+//! groups, PARSEC cpu/mem groups, SPECweb09, TPC-C, TPC-E, Web Backend,
+//! plus the `mcf` outlier used in Figure 4), for which only the statistical
+//! characterization matters, and the Figure 4 cache polluter. The six
+//! scale-out workloads are not profiles: they are the mini applications of
+//! `cs-workloads`, which build from this module's [`IlpModel`] and
+//! [`OsProfile`] types only.
 //!
 //! Every constructor documents the workload configuration from the paper it
 //! models. The numeric knobs are calibrated so that the simulated machine
@@ -186,7 +185,7 @@ pub struct WorkloadProfile {
     pub ilp: IlpModel,
     /// Operating-system involvement, if any.
     pub os: Option<OsProfile>,
-    /// Whether heap datasets are shared between threads. Scale-out and
+    /// Whether heap datasets are shared between threads. Web and
     /// database servers share one dataset across worker threads; SPEC and
     /// PARSEC runs are independent processes (or partition their data), so
     /// each hardware thread gets a private copy.
@@ -202,274 +201,6 @@ impl WorkloadProfile {
     /// independent requests" workload structure.
     pub fn build_source(&self, thread: usize, seed: u64) -> SyntheticSource {
         SyntheticSource::new(self, thread, seed)
-    }
-
-    // ------------------------------------------------------------------
-    // Scale-out workload profile twins (§3.2). First-class implementations
-    // live in `cs-workloads`; these profiles are their statistical twins.
-    // ------------------------------------------------------------------
-
-    /// Data Serving: Cassandra 0.7.3 with a 15 GB YCSB dataset, Zipfian
-    /// 95:5 read:write request mix (§3.2).
-    pub fn data_serving() -> Self {
-        Self {
-            name: "Data Serving".into(),
-            code: CodeProfile::new(2560 * 1024, 0.84, 0.016),
-            mix: InstrMix::server(),
-            data: vec![
-                (0.68, PatternSpec::Hot { bytes: 24 * 1024 }),
-                // Per-request scratch and connection state: L2/LLC-warm.
-                (0.10, PatternSpec::Hot { bytes: 128 * 1024 }),
-                // Memtable/row-cache metadata: LLC-warm.
-                (
-                    0.025,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 48 << 20,
-                        s: 0.9,
-                        object_bytes: 256,
-                        burst: 2,
-                        write_frac: 0.01,
-                    },
-                ),
-                // The YCSB dataset itself: Zipf(0.99) over 15 GB; reads
-                // dominate (95:5 and writes are log-structured).
-                (
-                    0.007,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 15 << 30,
-                        s: 0.99,
-                        object_bytes: 512,
-                        burst: 4,
-                        write_frac: 0.02,
-                    },
-                ),
-                // Index descent to locate the row.
-                (
-                    0.004,
-                    PatternSpec::Chase {
-                        region_bytes: 2 << 30,
-                        node_bytes: 64,
-                        chains: 2,
-                        write_frac: 0.0,
-                    },
-                ),
-                // Parallel garbage collector metadata: the small
-                // application-level sharing the paper calls out in §4.4.
-                (0.001, PatternSpec::SharedRw { slots: 512, slot_bytes: 512, write_frac: 0.12 }),
-            ],
-            ilp: IlpModel::new(3.1, 0.25),
-            os: Some(OsProfile::network(0.22, 1280, 0.008)),
-            shared_data: true,
-        }
-    }
-
-    /// MapReduce: Hadoop 0.20.2 running the Mahout Bayesian classifier over
-    /// 4.5 GB of Wikipedia pages (§3.2).
-    pub fn mapreduce() -> Self {
-        Self {
-            name: "MapReduce".into(),
-            code: CodeProfile::new(2048 * 1024, 0.85, 0.014),
-            mix: InstrMix { load: 0.30, store: 0.10, fp: 0.04, mul: 0.02, div: 0.002 },
-            data: vec![
-                (0.66, PatternSpec::Hot { bytes: 24 * 1024 }),
-                // Token/feature tables: warm.
-                (0.12, PatternSpec::Hot { bytes: 192 * 1024 }),
-                // Input-split scanning: the one scale-out access stream
-                // simple prefetchers do help (Figure 5 singles MapReduce
-                // out). Private per map task.
-                (0.015, PatternSpec::Stream { region_bytes: 1 << 30, stride: 8, write_frac: 0.0 }),
-                (
-                    0.006,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 1 << 30,
-                        s: 0.7,
-                        object_bytes: 128,
-                        burst: 2,
-                        write_frac: 0.05,
-                    },
-                ),
-                // Output spill buffers.
-                (
-                    0.005,
-                    PatternSpec::Stream { region_bytes: 128 << 20, stride: 8, write_frac: 0.9 },
-                ),
-            ],
-            ilp: IlpModel::new(3.3, 0.22),
-            os: Some(OsProfile::network(0.16, 1024, 0.010)),
-            shared_data: true,
-        }
-    }
-
-    /// Media Streaming: Darwin Streaming Server with Faban clients, low
-    /// bit-rate streams (§3.2). Each client reads a different offset of a
-    /// large pre-encoded file (effectively one-touch), and the global
-    /// packet counters the paper calls out (§4.4) appear as a small shared
-    /// read-write pool.
-    pub fn media_streaming() -> Self {
-        Self {
-            name: "Media Streaming".into(),
-            code: CodeProfile::new(1536 * 1024, 0.85, 0.012),
-            mix: InstrMix { load: 0.33, store: 0.10, fp: 0.0, mul: 0.01, div: 0.001 },
-            data: vec![
-                (0.62, PatternSpec::Hot { bytes: 16 * 1024 }),
-                // RTP packetization scratch: warm.
-                (0.12, PatternSpec::Hot { bytes: 96 * 1024 }),
-                // Media chunks: per-client positions scattered over many
-                // gigabytes, read once per packet — the paper's worst-case
-                // off-chip traffic (Figure 7).
-                (
-                    0.05,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 24 << 30,
-                        s: 0.3,
-                        object_bytes: 1344,
-                        burst: 12,
-                        write_frac: 0.0,
-                    },
-                ),
-                // Session metadata.
-                (
-                    0.04,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 64 << 20,
-                        s: 0.9,
-                        object_bytes: 256,
-                        burst: 2,
-                        write_frac: 0.01,
-                    },
-                ),
-                // Global sent-packet counters (mutex-protected).
-                (0.002, PatternSpec::SharedRw { slots: 32, slot_bytes: 128, write_frac: 0.5 }),
-            ],
-            ilp: IlpModel::new(2.8, 0.25),
-            os: Some(OsProfile::network(0.30, 1536, 0.030)),
-            shared_data: true,
-        }
-    }
-
-    /// SAT Solver: Klee instances from the Cloud9 symbolic-execution engine,
-    /// one per core, CPU-bound with negligible OS time (§3.2).
-    pub fn sat_solver() -> Self {
-        Self {
-            name: "SAT Solver".into(),
-            code: CodeProfile::new(1024 * 1024, 0.88, 0.02),
-            mix: InstrMix { load: 0.31, store: 0.09, fp: 0.0, mul: 0.01, div: 0.002 },
-            data: vec![
-                (0.64, PatternSpec::Hot { bytes: 32 * 1024 }),
-                // Trail / assignment vectors: warm.
-                (0.12, PatternSpec::Hot { bytes: 160 * 1024 }),
-                // Clause database traversal: pointer-heavy, multiple watch
-                // lists walked concurrently (the highest scale-out MLP in
-                // Figure 3).
-                (
-                    0.008,
-                    PatternSpec::Chase {
-                        region_bytes: 768 << 20,
-                        node_bytes: 64,
-                        chains: 5,
-                        write_frac: 0.02,
-                    },
-                ),
-                (
-                    0.007,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 256 << 20,
-                        s: 0.7,
-                        object_bytes: 128,
-                        burst: 2,
-                        write_frac: 0.05,
-                    },
-                ),
-                (0.006, PatternSpec::Stream { region_bytes: 64 << 20, stride: 8, write_frac: 0.1 }),
-            ],
-            ilp: IlpModel::new(3.5, 0.14),
-            os: Some(OsProfile::network(0.04, 512, 0.010)),
-            // One independent solver process per core.
-            shared_data: false,
-        }
-    }
-
-    /// Web Frontend: Nginx + PHP (APC opcode cache) serving Olio with Faban
-    /// clients (§3.2). The interpreter gives the largest instruction
-    /// footprint, a hot interpreter-local working set (highest IPC of the
-    /// scale-out group) and the lowest MLP (1.4 in Figure 3).
-    pub fn web_frontend() -> Self {
-        Self {
-            name: "Web Frontend".into(),
-            code: CodeProfile::new(3584 * 1024, 0.90, 0.012),
-            mix: InstrMix { load: 0.28, store: 0.11, fp: 0.0, mul: 0.01, div: 0.001 },
-            data: vec![
-                (0.70, PatternSpec::Hot { bytes: 48 * 1024 }),
-                // Opcode cache and interpreter tables: warm.
-                (0.12, PatternSpec::Hot { bytes: 224 * 1024 }),
-                // Session store and file cache over the 12 GB dataset.
-                (
-                    0.005,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 12 << 30,
-                        s: 0.9,
-                        object_bytes: 1024,
-                        burst: 8,
-                        write_frac: 0.03,
-                    },
-                ),
-                // Single dependent descent per request: lowest MLP.
-                (
-                    0.007,
-                    PatternSpec::Chase {
-                        region_bytes: 256 << 20,
-                        node_bytes: 64,
-                        chains: 1,
-                        write_frac: 0.0,
-                    },
-                ),
-                (0.001, PatternSpec::SharedRw { slots: 512, slot_bytes: 256, write_frac: 0.06 }),
-            ],
-            ilp: IlpModel::new(3.7, 0.40),
-            os: Some(OsProfile::network(0.22, 1536, 0.015)),
-            shared_data: true,
-        }
-    }
-
-    /// Web Search: a Nutch/Lucene index serving node with a 2 GB in-memory
-    /// index shard and 23 GB segment (§3.2).
-    pub fn web_search() -> Self {
-        Self {
-            name: "Web Search".into(),
-            code: CodeProfile::new(2560 * 1024, 0.88, 0.012),
-            mix: InstrMix { load: 0.30, store: 0.08, fp: 0.02, mul: 0.02, div: 0.001 },
-            data: vec![
-                (0.68, PatternSpec::Hot { bytes: 32 * 1024 }),
-                // Scoring accumulators and term dictionaries: warm.
-                (0.12, PatternSpec::Hot { bytes: 160 * 1024 }),
-                // Posting-list scans over the memory-resident index shard.
-                (
-                    0.010,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 2 << 30,
-                        s: 0.8,
-                        object_bytes: 4096,
-                        burst: 10,
-                        write_frac: 0.0,
-                    },
-                ),
-                (
-                    0.04,
-                    PatternSpec::Zipf {
-                        dataset_bytes: 64 << 20,
-                        s: 0.9,
-                        object_bytes: 256,
-                        burst: 2,
-                        write_frac: 0.01,
-                    },
-                ),
-                // Parallel GC metadata, as in Data Serving.
-                (0.001, PatternSpec::SharedRw { slots: 512, slot_bytes: 512, write_frac: 0.10 }),
-            ],
-            ilp: IlpModel::new(3.8, 0.20),
-            os: Some(OsProfile::network(0.12, 1024, 0.012)),
-            shared_data: true,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -857,18 +588,6 @@ impl WorkloadProfile {
         }
     }
 
-    /// All six scale-out profile twins, in the paper's figure order.
-    pub fn scale_out_suite() -> Vec<Self> {
-        vec![
-            Self::data_serving(),
-            Self::mapreduce(),
-            Self::media_streaming(),
-            Self::sat_solver(),
-            Self::web_frontend(),
-            Self::web_search(),
-        ]
-    }
-
     /// All traditional comparison profiles, in the paper's figure order.
     pub fn traditional_suite() -> Vec<Self> {
         vec![
@@ -909,23 +628,11 @@ mod tests {
 
     #[test]
     fn all_stock_profiles_validate() {
-        for p in WorkloadProfile::scale_out_suite()
+        for p in WorkloadProfile::traditional_suite()
             .into_iter()
-            .chain(WorkloadProfile::traditional_suite())
             .chain([WorkloadProfile::mcf(), WorkloadProfile::polluter(4 << 20)])
         {
             p.validate();
-        }
-    }
-
-    #[test]
-    fn scale_out_footprints_exceed_l1i_by_an_order_of_magnitude() {
-        for p in WorkloadProfile::scale_out_suite() {
-            assert!(
-                p.code.footprint_bytes >= 10 * 32 * 1024,
-                "{} footprint too small for the paper's §4.1 claim",
-                p.name
-            );
         }
     }
 
@@ -934,14 +641,6 @@ mod tests {
         for p in [WorkloadProfile::specint_cpu(), WorkloadProfile::parsec_cpu()] {
             assert!(p.code.footprint_bytes <= 32 * 1024, "{}", p.name);
         }
-    }
-
-    #[test]
-    fn scale_out_workloads_involve_the_os_and_share_data() {
-        for p in WorkloadProfile::scale_out_suite() {
-            assert!(p.os.is_some(), "{} must model OS time", p.name);
-        }
-        assert!(WorkloadProfile::data_serving().shared_data);
     }
 
     #[test]
@@ -976,16 +675,6 @@ mod tests {
 
     #[test]
     fn suites_have_paper_cardinalities() {
-        assert_eq!(WorkloadProfile::scale_out_suite().len(), 6);
         assert_eq!(WorkloadProfile::traditional_suite().len(), 8);
-    }
-
-    #[test]
-    fn os_fraction_bands_match_the_paper() {
-        // SAT Solver is compute-bound; Media Streaming is network-heavy.
-        let sat = WorkloadProfile::sat_solver().os.expect("has os").fraction;
-        let media = WorkloadProfile::media_streaming().os.expect("has os").fraction;
-        assert!(sat < 0.10);
-        assert!(media > 0.25);
     }
 }

@@ -513,7 +513,7 @@ mod tests {
 
     #[test]
     fn stream_is_endless_and_deterministic() {
-        let p = WorkloadProfile::data_serving();
+        let p = WorkloadProfile::tpce();
         let a = pull(&p, 5000);
         let b = pull(&p, 5000);
         assert_eq!(a, b);
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn different_threads_differ() {
-        let p = WorkloadProfile::web_search();
+        let p = WorkloadProfile::web_backend();
         let mut s0 = p.build_source(0, 7);
         let mut s1 = p.build_source(1, 7);
         let a: Vec<_> = (0..200).map(|_| s0.next_op().unwrap()).collect();
@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn os_fraction_is_respected() {
-        let p = WorkloadProfile::media_streaming();
+        let p = WorkloadProfile::web_backend();
         let target = p.os.as_ref().unwrap().fraction;
         let ops = pull(&p, 400_000);
         let kernel = ops.iter().filter(|o| o.is_kernel()).count() as f64 / ops.len() as f64;
@@ -586,7 +586,7 @@ mod tests {
 
     #[test]
     fn next_block_matches_per_op_pulls() {
-        let p = WorkloadProfile::data_serving();
+        let p = WorkloadProfile::tpcc();
         let mut per_op = p.build_source(0, 77);
         let mut blocked = p.build_source(0, 77);
         let expect: Vec<_> = (0..4096).map(|_| per_op.next_op().expect("endless")).collect();
@@ -630,7 +630,7 @@ mod tests {
 
     #[test]
     fn mem_ops_always_carry_refs() {
-        let ops = pull(&WorkloadProfile::web_frontend(), 100_000);
+        let ops = pull(&WorkloadProfile::web_backend(), 100_000);
         for op in &ops {
             assert_eq!(op.is_mem(), op.mem.is_some());
         }

@@ -62,7 +62,7 @@ fn geometric_table_is_positive() {
 /// never reference the future.
 #[test]
 fn synthetic_streams_are_well_formed() {
-    let profile = WorkloadProfile::data_serving();
+    let profile = WorkloadProfile::tpcc();
     for case in 0..CASES {
         let mut g = stream_rng(SEED, case);
         let seed = g.next_u64();
@@ -87,7 +87,7 @@ fn synthetic_streams_are_well_formed() {
 fn streams_are_reproducible() {
     for case in 0..CASES {
         let seed = stream_rng(SEED, case).next_u64();
-        for profile in [WorkloadProfile::web_search(), WorkloadProfile::tpcc()] {
+        for profile in [WorkloadProfile::web_backend(), WorkloadProfile::tpcc()] {
             let mut a = profile.build_source(0, seed);
             let mut b = profile.build_source(0, seed);
             for _ in 0..500 {

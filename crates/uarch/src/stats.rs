@@ -6,7 +6,7 @@
 //! occupancy plus frontend components. This module holds exactly those
 //! counters, per core.
 
-use cs_perf::{CounterSet, Histogram};
+use cs_perf::Histogram;
 use serde::Serialize;
 
 /// Counters for one core (aggregated over its hardware threads).
@@ -255,25 +255,6 @@ impl CoreStats {
             per_thread_committed,
         })
     }
-
-    /// Exports the counters into a flat [`CounterSet`].
-    pub fn to_counters(&self, prefix: &str) -> CounterSet {
-        let mut c = CounterSet::new();
-        let p = |n: &str| format!("{prefix}.{n}");
-        c.set(p("cycles"), self.cycles);
-        c.set(p("committed.user"), self.committed[0]);
-        c.set(p("committed.kernel"), self.committed[1]);
-        c.set(p("committing_cycles.user"), self.committing_cycles[0]);
-        c.set(p("committing_cycles.kernel"), self.committing_cycles[1]);
-        c.set(p("stalled_cycles.user"), self.stalled_cycles[0]);
-        c.set(p("stalled_cycles.kernel"), self.stalled_cycles[1]);
-        c.set(p("offcore_cycles"), self.offcore_outstanding_cycles);
-        c.set(p("memory_cycles"), self.memory_cycles);
-        c.set(p("l2_ifetch_stall_cycles"), self.l2_ifetch_stall_cycles);
-        c.set(p("branches"), self.branches);
-        c.set(p("mispredicts"), self.mispredicts);
-        c
-    }
 }
 
 #[cfg(test)]
@@ -307,16 +288,6 @@ mod tests {
         s.offcore_load_occupancy.record_n(2, 5);
         s.offcore_load_occupancy.record_n(4, 5);
         assert_eq!(s.mlp(), 3.0);
-    }
-
-    #[test]
-    fn counters_roundtrip_names() {
-        let mut s = CoreStats::new(2, 16);
-        s.cycles = 7;
-        s.mispredicts = 3;
-        let c = s.to_counters("core0");
-        assert_eq!(c.get("core0.cycles"), 7);
-        assert_eq!(c.get("core0.mispredicts"), 3);
     }
 
     #[test]

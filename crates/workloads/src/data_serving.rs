@@ -8,12 +8,14 @@
 //! sequential commit-log append), as in Cassandra's memtable/commit-log
 //! design.
 
-use crate::emit::{AppSource, Dep, EmitCtx, RequestApp};
+use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
+use cs_trace::ifoot::CodeProfile;
+use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
 use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
-use cs_trace::{MicroOp, TraceSource, WorkloadProfile};
+use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
 
 /// Configuration of the key-value store and its client.
@@ -50,33 +52,25 @@ impl DataServing {
         }
     }
 
-    /// Builds the trace source for one hardware thread, including the
-    /// workload's OS time.
-    pub fn into_source(self, thread: usize, seed: u64) -> impl TraceSource {
-        let twin = WorkloadProfile::data_serving();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
-            .with_scratch(24 * 1024, 0.34)
-            .with_warm(128 * 1024, 0.12);
-        let app = DataServingApp::new(self, thread);
-        let os = twin.os.expect("data serving models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx), &os, twin.ilp, thread, seed)
+    /// The code footprint, ILP structure and OS time this workload's
+    /// sources are built from.
+    pub fn model() -> AppModel {
+        AppModel {
+            code: CodeProfile::new(2560 * 1024, 0.84, 0.016),
+            ilp: IlpModel::new(3.1, 0.25),
+            os: OsProfile::network(0.22, 1280, 0.008),
+        }
     }
 
-    /// Like `into_source`, additionally bumping `meter` once per request
-    /// (used by the harness to measure service throughput).
-    pub fn into_source_metered(
-        self,
-        thread: usize,
-        seed: u64,
-        meter: crate::emit::RequestMeter,
-    ) -> impl TraceSource {
-        let twin = WorkloadProfile::data_serving();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
+    /// Builds the trace source for one hardware thread, including the
+    /// workload's OS time, bumping `meter` (if any) once per request.
+    pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
+        let AppModel { code, ilp, os } = Self::model();
+        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
             .with_scratch(24 * 1024, 0.34)
             .with_warm(128 * 1024, 0.12);
-        let app = DataServingApp::new(self, thread);
-        let os = twin.os.expect("data serving models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx).with_meter(meter), &os, twin.ilp, thread, seed)
+        let app = AppSource::new(DataServingApp::new(self, thread), ctx).with_meter(meter);
+        OsInterleaver::new(app, &os, ilp, thread, seed)
     }
 }
 
@@ -257,7 +251,7 @@ mod tests {
 
     #[test]
     fn full_source_includes_kernel_time() {
-        let mut src = DataServing::paper_setup().into_source(0, 5);
+        let mut src = DataServing::paper_setup().into_source(0, 5, None);
         let kernel =
             (0..100_000).filter(|_| src.next_op().expect("endless").is_kernel()).count();
         let frac = kernel as f64 / 100_000.0;

@@ -16,10 +16,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cs_trace::ifoot::{CodeProfile, CodeWalker};
-use cs_trace::profile::IlpModel;
+use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, stream_rng, GeometricTable, SmallRng};
 use cs_trace::{layout, MicroOp, OpKind, TraceSource};
 use std::collections::VecDeque;
+
+/// The calibrated instruction side of one mini application: the code
+/// footprint its [`EmitCtx`] walks, the ILP structure of its ops, and the
+/// kernel time its [`cs_trace::synth::OsInterleaver`] mixes in. Each
+/// application's `model()` is the one place these values live.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AppModel {
+    /// Application code footprint.
+    pub code: CodeProfile,
+    /// ILP structure of application and kernel ops.
+    pub ilp: IlpModel,
+    /// Operating-system involvement.
+    pub os: OsProfile,
+}
 
 /// How a load's address was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,9 +287,10 @@ impl<A: RequestApp> AppSource<A> {
         Self { app, ctx, buf: VecDeque::with_capacity(512), meter: None }
     }
 
-    /// Attaches a request meter, bumped once per generated request.
-    pub fn with_meter(mut self, meter: RequestMeter) -> Self {
-        self.meter = Some(meter);
+    /// Attaches a request meter (if any), bumped once per generated
+    /// request.
+    pub fn with_meter(mut self, meter: Option<RequestMeter>) -> Self {
+        self.meter = meter;
         self
     }
 
@@ -408,7 +423,7 @@ mod tests {
     #[test]
     fn meter_counts_requests() {
         let meter: RequestMeter = Default::default();
-        let mut src = AppSource::new(CountApp(0), ctx()).with_meter(meter.clone());
+        let mut src = AppSource::new(CountApp(0), ctx()).with_meter(Some(meter.clone()));
         for _ in 0..100 {
             src.next_op();
         }

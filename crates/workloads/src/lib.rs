@@ -26,7 +26,8 @@
 //! calibrated instruction-footprint model ([`emit::EmitCtx`]), and
 //! operating-system time is interleaved by
 //! [`cs_trace::synth::OsInterleaver`] — both substitutions documented in
-//! DESIGN.md.
+//! DESIGN.md. Each application's `model()` ([`emit::AppModel`]) is the one
+//! place its code footprint, ILP structure and OS time are declared.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

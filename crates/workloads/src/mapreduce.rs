@@ -7,12 +7,14 @@
 //! documents are appended to a spill buffer. Input scanning is the one
 //! scale-out access stream simple prefetchers help (Figure 5).
 
-use crate::emit::{AppSource, Dep, EmitCtx, RequestApp};
+use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
+use cs_trace::ifoot::CodeProfile;
+use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{geometric, splitmix64};
 use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
-use cs_trace::{MicroOp, TraceSource, WorkloadProfile};
+use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
 
 /// Configuration of the map task.
@@ -43,32 +45,25 @@ impl MapReduce {
         }
     }
 
-    /// Builds the trace source for one hardware thread (one map task).
-    pub fn into_source(self, thread: usize, seed: u64) -> impl TraceSource {
-        let twin = WorkloadProfile::mapreduce();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.04, thread, seed)
-            .with_scratch(24 * 1024, 0.32)
-            .with_warm(192 * 1024, 0.12);
-        let app = MapTask::new(self, thread);
-        let os = twin.os.expect("mapreduce models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx), &os, twin.ilp, thread, seed)
+    /// The code footprint, ILP structure and OS time this workload's
+    /// sources are built from.
+    pub fn model() -> AppModel {
+        AppModel {
+            code: CodeProfile::new(2048 * 1024, 0.85, 0.014),
+            ilp: IlpModel::new(3.3, 0.22),
+            os: OsProfile::network(0.16, 1024, 0.010),
+        }
     }
 
-    /// Like `into_source`, additionally bumping `meter` once per request
-    /// (used by the harness to measure service throughput).
-    pub fn into_source_metered(
-        self,
-        thread: usize,
-        seed: u64,
-        meter: crate::emit::RequestMeter,
-    ) -> impl TraceSource {
-        let twin = WorkloadProfile::mapreduce();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.04, thread, seed)
+    /// Builds the trace source for one hardware thread (one map task),
+    /// bumping `meter` (if any) once per request.
+    pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
+        let AppModel { code, ilp, os } = Self::model();
+        let ctx = EmitCtx::new(code, ilp, 0.04, thread, seed)
             .with_scratch(24 * 1024, 0.32)
             .with_warm(192 * 1024, 0.12);
-        let app = MapTask::new(self, thread);
-        let os = twin.os.expect("mapreduce models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx).with_meter(meter), &os, twin.ilp, thread, seed)
+        let app = AppSource::new(MapTask::new(self, thread), ctx).with_meter(meter);
+        OsInterleaver::new(app, &os, ilp, thread, seed)
     }
 }
 

@@ -8,12 +8,14 @@
 //! counters create the small application-level read-write sharing §4.4
 //! calls out.
 
-use crate::emit::{AppSource, Dep, EmitCtx, RequestApp};
+use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
+use cs_trace::ifoot::CodeProfile;
+use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
 use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
-use cs_trace::{layout, MicroOp, TraceSource, WorkloadProfile};
+use cs_trace::{layout, MicroOp, TraceSource};
 use std::collections::VecDeque;
 
 /// Configuration of the streaming server.
@@ -44,32 +46,25 @@ impl MediaStreaming {
         }
     }
 
-    /// Builds the trace source for one hardware thread.
-    pub fn into_source(self, thread: usize, seed: u64) -> impl TraceSource {
-        let twin = WorkloadProfile::media_streaming();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
-            .with_scratch(16 * 1024, 0.34)
-            .with_warm(96 * 1024, 0.14);
-        let app = StreamingServer::new(self, thread, seed);
-        let os = twin.os.expect("media streaming models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx), &os, twin.ilp, thread, seed)
+    /// The code footprint, ILP structure and OS time this workload's
+    /// sources are built from.
+    pub fn model() -> AppModel {
+        AppModel {
+            code: CodeProfile::new(1536 * 1024, 0.85, 0.012),
+            ilp: IlpModel::new(2.8, 0.25),
+            os: OsProfile::network(0.30, 1536, 0.030),
+        }
     }
 
-    /// Like `into_source`, additionally bumping `meter` once per request
-    /// (used by the harness to measure service throughput).
-    pub fn into_source_metered(
-        self,
-        thread: usize,
-        seed: u64,
-        meter: crate::emit::RequestMeter,
-    ) -> impl TraceSource {
-        let twin = WorkloadProfile::media_streaming();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
+    /// Builds the trace source for one hardware thread, bumping `meter`
+    /// (if any) once per request.
+    pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
+        let AppModel { code, ilp, os } = Self::model();
+        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
             .with_scratch(16 * 1024, 0.34)
             .with_warm(96 * 1024, 0.14);
-        let app = StreamingServer::new(self, thread, seed);
-        let os = twin.os.expect("media streaming models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx).with_meter(meter), &os, twin.ilp, thread, seed)
+        let app = AppSource::new(StreamingServer::new(self, thread, seed), ctx).with_meter(meter);
+        OsInterleaver::new(app, &os, ilp, thread, seed)
     }
 }
 

@@ -9,11 +9,13 @@
 //! fresh one (the paper reuses input traces for run-to-run comparability;
 //! we reuse the generator seed).
 
-use crate::emit::{AppSource, Dep, EmitCtx, RequestApp};
+use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
+use cs_trace::ifoot::CodeProfile;
+use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{splitmix64, SmallRng};
 use cs_trace::synth::OsInterleaver;
-use cs_trace::{MicroOp, TraceSource, WorkloadProfile};
+use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
 
 /// Configuration of the solver.
@@ -36,33 +38,26 @@ impl SatSolver {
         Self { n_vars: 320, clause_ratio: 3.9, shard_bytes: 1 << 20, learned_bytes: 512 << 20 }
     }
 
-    /// Builds the trace source for one hardware thread (one solver
-    /// process; SAT Solver runs one independent instance per core).
-    pub fn into_source(self, thread: usize, seed: u64) -> impl TraceSource {
-        let twin = WorkloadProfile::sat_solver();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
-            .with_scratch(32 * 1024, 0.36)
-            .with_warm(160 * 1024, 0.12);
-        let app = Dpll::new(self, thread, seed);
-        let os = twin.os.expect("sat solver models (minimal) OS time");
-        OsInterleaver::new(AppSource::new(app, ctx), &os, twin.ilp, thread, seed)
+    /// The code footprint, ILP structure and OS time this workload's
+    /// sources are built from.
+    pub fn model() -> AppModel {
+        AppModel {
+            code: CodeProfile::new(1024 * 1024, 0.88, 0.02),
+            ilp: IlpModel::new(3.5, 0.14),
+            os: OsProfile::network(0.04, 512, 0.010),
+        }
     }
 
-    /// Like `into_source`, additionally bumping `meter` once per request
-    /// (used by the harness to measure service throughput).
-    pub fn into_source_metered(
-        self,
-        thread: usize,
-        seed: u64,
-        meter: crate::emit::RequestMeter,
-    ) -> impl TraceSource {
-        let twin = WorkloadProfile::sat_solver();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
+    /// Builds the trace source for one hardware thread (one solver
+    /// process; SAT Solver runs one independent instance per core),
+    /// bumping `meter` (if any) once per request.
+    pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
+        let AppModel { code, ilp, os } = Self::model();
+        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
             .with_scratch(32 * 1024, 0.36)
             .with_warm(160 * 1024, 0.12);
-        let app = Dpll::new(self, thread, seed);
-        let os = twin.os.expect("sat solver models (minimal) OS time");
-        OsInterleaver::new(AppSource::new(app, ctx).with_meter(meter), &os, twin.ilp, thread, seed)
+        let app = AppSource::new(Dpll::new(self, thread, seed), ctx).with_meter(meter);
+        OsInterleaver::new(app, &os, ilp, thread, seed)
     }
 }
 

@@ -7,12 +7,14 @@
 //! interpreter's locals stay hot (the highest scale-out IPC in Figure 3)
 //! and requests perform a single dependent descent each (the lowest MLP).
 
-use crate::emit::{AppSource, Dep, EmitCtx, RequestApp};
+use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
+use cs_trace::ifoot::CodeProfile;
+use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
 use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
-use cs_trace::{MicroOp, TraceSource, WorkloadProfile};
+use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
 
 /// Configuration of the frontend.
@@ -46,32 +48,25 @@ impl WebFrontend {
         }
     }
 
-    /// Builds the trace source for one hardware thread.
-    pub fn into_source(self, thread: usize, seed: u64) -> impl TraceSource {
-        let twin = WorkloadProfile::web_frontend();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
-            .with_scratch(48 * 1024, 0.38)
-            .with_warm(224 * 1024, 0.12);
-        let app = Frontend::new(self, thread);
-        let os = twin.os.expect("web frontend models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx), &os, twin.ilp, thread, seed)
+    /// The code footprint, ILP structure and OS time this workload's
+    /// sources are built from.
+    pub fn model() -> AppModel {
+        AppModel {
+            code: CodeProfile::new(3584 * 1024, 0.90, 0.012),
+            ilp: IlpModel::new(3.7, 0.40),
+            os: OsProfile::network(0.22, 1536, 0.015),
+        }
     }
 
-    /// Like `into_source`, additionally bumping `meter` once per request
-    /// (used by the harness to measure service throughput).
-    pub fn into_source_metered(
-        self,
-        thread: usize,
-        seed: u64,
-        meter: crate::emit::RequestMeter,
-    ) -> impl TraceSource {
-        let twin = WorkloadProfile::web_frontend();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.0, thread, seed)
+    /// Builds the trace source for one hardware thread, bumping `meter`
+    /// (if any) once per request.
+    pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
+        let AppModel { code, ilp, os } = Self::model();
+        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
             .with_scratch(48 * 1024, 0.38)
             .with_warm(224 * 1024, 0.12);
-        let app = Frontend::new(self, thread);
-        let os = twin.os.expect("web frontend models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx).with_meter(meter), &os, twin.ilp, thread, seed)
+        let app = AppSource::new(Frontend::new(self, thread), ctx).with_meter(meter);
+        OsInterleaver::new(app, &os, ilp, thread, seed)
     }
 }
 

@@ -7,12 +7,14 @@
 //! into a top-k heap. Requests are handled independently, one per thread,
 //! without inter-thread communication (§2.2).
 
-use crate::emit::{AppSource, Dep, EmitCtx, RequestApp};
+use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
+use cs_trace::ifoot::CodeProfile;
+use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
 use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
-use cs_trace::{MicroOp, TraceSource, WorkloadProfile};
+use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -44,32 +46,25 @@ impl WebSearch {
         }
     }
 
-    /// Builds the trace source for one hardware thread.
-    pub fn into_source(self, thread: usize, seed: u64) -> impl TraceSource {
-        let twin = WorkloadProfile::web_search();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.02, thread, seed)
-            .with_scratch(32 * 1024, 0.36)
-            .with_warm(160 * 1024, 0.12);
-        let app = IndexNode::new(self);
-        let os = twin.os.expect("web search models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx), &os, twin.ilp, thread, seed)
+    /// The code footprint, ILP structure and OS time this workload's
+    /// sources are built from.
+    pub fn model() -> AppModel {
+        AppModel {
+            code: CodeProfile::new(2560 * 1024, 0.88, 0.012),
+            ilp: IlpModel::new(3.8, 0.20),
+            os: OsProfile::network(0.12, 1024, 0.012),
+        }
     }
 
-    /// Like `into_source`, additionally bumping `meter` once per request
-    /// (used by the harness to measure service throughput).
-    pub fn into_source_metered(
-        self,
-        thread: usize,
-        seed: u64,
-        meter: crate::emit::RequestMeter,
-    ) -> impl TraceSource {
-        let twin = WorkloadProfile::web_search();
-        let ctx = EmitCtx::new(twin.code.clone(), twin.ilp, 0.02, thread, seed)
+    /// Builds the trace source for one hardware thread, bumping `meter`
+    /// (if any) once per request.
+    pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
+        let AppModel { code, ilp, os } = Self::model();
+        let ctx = EmitCtx::new(code, ilp, 0.02, thread, seed)
             .with_scratch(32 * 1024, 0.36)
             .with_warm(160 * 1024, 0.12);
-        let app = IndexNode::new(self);
-        let os = twin.os.expect("web search models OS time");
-        OsInterleaver::new(AppSource::new(app, ctx).with_meter(meter), &os, twin.ilp, thread, seed)
+        let app = AppSource::new(IndexNode::new(self), ctx).with_meter(meter);
+        OsInterleaver::new(app, &os, ilp, thread, seed)
     }
 }
 

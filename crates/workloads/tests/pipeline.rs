@@ -28,7 +28,7 @@ impl RequestApp for Tiny {
 
 fn tiny(seed: u64, meter: RequestMeter) -> AppSource<Tiny> {
     let ctx = EmitCtx::new(CodeProfile::new(64 * 1024, 0.8, 0.01), IlpModel::new(3.0, 0.3), 0.0, 0, seed);
-    AppSource::new(Tiny, ctx).with_meter(meter)
+    AppSource::new(Tiny, ctx).with_meter(Some(meter))
 }
 
 /// Pulls `direct` and `piped` with one seeded mix of `next_op` and
@@ -82,10 +82,10 @@ fn metered_app_source_same_ops_same_meter() {
 fn metered_web_search_same_ops_same_meter() {
     let seed = 41;
     let direct_meter = RequestMeter::default();
-    let direct = WebSearch::paper_setup().into_source_metered(2, seed, direct_meter.clone());
+    let direct = WebSearch::paper_setup().into_source(2, seed, Some(direct_meter.clone()));
     let piped_meter = RequestMeter::default();
     let piped = PipelinedSource::metered(piped_meter.clone(), |m| {
-        WebSearch::paper_setup().into_source_metered(2, seed, m)
+        WebSearch::paper_setup().into_source(2, seed, Some(m))
     });
     same_ops_same_meter(seed, 8, direct, &direct_meter, piped, &piped_meter);
 }

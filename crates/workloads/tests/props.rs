@@ -41,7 +41,7 @@ fn sat_solver_streams_are_well_formed() {
         let mut g = stream_rng(SEED, case);
         let seed = g.next_u64();
         let thread = g.gen_range(0..4usize);
-        let mut src = cs_workloads::sat_solver::SatSolver::paper_setup().into_source(thread, seed);
+        let mut src = cs_workloads::sat_solver::SatSolver::paper_setup().into_source(thread, seed, None);
         for _ in 0..3_000 {
             let op = src.next_op().expect("endless");
             assert_eq!(op.is_mem(), op.mem.is_some(), "case {case}");
@@ -55,7 +55,7 @@ fn sat_solver_streams_are_well_formed() {
 fn apps_are_deterministic() {
     for case in 0..CASES {
         let seed = stream_rng(SEED, case).next_u64();
-        let mk = || cs_workloads::web_search::WebSearch::paper_setup().into_source(1, seed);
+        let mk = || cs_workloads::web_search::WebSearch::paper_setup().into_source(1, seed, None);
         let mut a = mk();
         let mut b = mk();
         for _ in 0..1_000 {

@@ -6,12 +6,13 @@
 //! cargo run --release --example capture_replay
 //! ```
 
+use cloudsuite::Benchmark;
 use cs_trace::capture::RecordedTrace;
-use cs_trace::{TraceSource, WorkloadProfile};
+use cs_trace::TraceSource;
 
 fn main() -> std::io::Result<()> {
     // Record 100k micro-ops of the Data Serving workload.
-    let mut live = WorkloadProfile::data_serving().build_source(0, 2024);
+    let mut live = Benchmark::data_serving().build_source(0, 2024);
     let trace = RecordedTrace::record(&mut live, 100_000);
     println!("recorded {} ops from '{}'", trace.len(), trace.label());
 
@@ -27,7 +28,7 @@ fn main() -> std::io::Result<()> {
     assert_eq!(loaded, trace, "roundtrip must be lossless");
 
     // Replay matches a fresh live source op for op (determinism).
-    let mut fresh = WorkloadProfile::data_serving().build_source(0, 2024);
+    let mut fresh = Benchmark::data_serving().build_source(0, 2024);
     let mut replay = loaded.into_source();
     let mut n = 0u64;
     while let Some(op) = replay.next_op() {

@@ -7,8 +7,10 @@
 
 use cloudsuite::harness::{RunConfig, RunResult};
 use cloudsuite::{Benchmark, FaultPlan};
+use cs_memsys::dram::DramStats;
+use cs_memsys::stats::CoreMemStats;
 use cs_memsys::PrefetchConfig;
-use cs_perf::CounterSet;
+use cs_uarch::CoreStats;
 
 fn run(bench: &Benchmark, cfg: &RunConfig) -> RunResult {
     cloudsuite::harness::run(bench, cfg).expect("test config is valid")
@@ -23,36 +25,12 @@ fn cfg() -> RunConfig {
     }
 }
 
-/// Everything a figure can read from a run, flattened to exact integers.
-fn fingerprint(r: &RunResult) -> CounterSet {
-    let mut c = CounterSet::new();
-    c.set("cycles", r.cycles);
-    c.set("requests", r.requests.unwrap_or(u64::MAX));
-    for (i, core) in r.cores.iter().enumerate() {
-        c.merge(&core.to_counters(&format!("core{i}")));
-    }
-    for (i, mem) in r.mem.iter().enumerate() {
-        c.set(format!("mem{i}.l1i_acc"), mem.l1i.total_accesses());
-        c.set(format!("mem{i}.l1i_hit"), mem.l1i.total_hits());
-        c.set(format!("mem{i}.l1d_acc"), mem.l1d.total_accesses());
-        c.set(format!("mem{i}.l1d_hit"), mem.l1d.total_hits());
-        c.set(format!("mem{i}.l2_acc"), mem.l2.total_accesses());
-        c.set(format!("mem{i}.l2_hit"), mem.l2.total_hits());
-        c.set(format!("mem{i}.llc_acc"), mem.llc.total_accesses());
-        c.set(format!("mem{i}.llc_hit"), mem.llc.total_hits());
-        c.set(format!("mem{i}.rw_user"), mem.rw_shared[0]);
-        c.set(format!("mem{i}.rw_kernel"), mem.rw_shared[1]);
-        c.set(format!("mem{i}.dram_bytes"), mem.dram_bytes_total());
-    }
-    for (i, mem) in r.polluter_mem.iter().enumerate() {
-        c.set(format!("pol{i}.llc_acc"), mem.llc.total_accesses());
-        c.set(format!("pol{i}.llc_hit"), mem.llc.total_hits());
-    }
-    c.set("dram.reads", r.dram.reads);
-    c.set("dram.writes", r.dram.writes);
-    c.set("dram.bytes", r.dram.bytes);
-    c.set("dram.busy", r.dram.busy_cycles);
-    c
+/// Every counter a figure can read from a run.
+type Fingerprint<'a> =
+    (u64, Option<u64>, &'a [CoreStats], &'a [CoreMemStats], &'a [CoreMemStats], DramStats);
+
+fn fingerprint(r: &RunResult) -> Fingerprint<'_> {
+    (r.cycles, r.requests, &r.cores, &r.mem, &r.polluter_mem, r.dram)
 }
 
 /// Runs `cfg` with skipping on and off and asserts bit-identical

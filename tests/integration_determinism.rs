@@ -4,7 +4,9 @@
 
 use cloudsuite::harness::{RunConfig, RunResult};
 use cloudsuite::Benchmark;
-use cs_perf::CounterSet;
+use cs_memsys::dram::DramStats;
+use cs_memsys::stats::CoreMemStats;
+use cs_uarch::CoreStats;
 
 fn run(bench: &Benchmark, cfg: &RunConfig) -> RunResult {
     cloudsuite::harness::run(bench, cfg).expect("test config is valid")
@@ -19,29 +21,20 @@ fn cfg(seed: u64) -> RunConfig {
     }
 }
 
-fn fingerprint(r: &RunResult) -> CounterSet {
-    let mut c = CounterSet::new();
-    c.set("cycles", r.cycles);
-    for (i, core) in r.cores.iter().enumerate() {
-        c.merge(&core.to_counters(&format!("core{i}")));
-    }
-    for (i, mem) in r.mem.iter().enumerate() {
-        c.set(format!("mem{i}.l1d_acc"), mem.l1d.total_accesses());
-        c.set(format!("mem{i}.l1d_hit"), mem.l1d.total_hits());
-        c.set(format!("mem{i}.llc_acc"), mem.llc.total_accesses());
-        c.set(format!("mem{i}.rw_user"), mem.rw_shared[0]);
-        c.set(format!("mem{i}.dram_bytes"), mem.dram_bytes_total());
-    }
-    c.set("dram.bytes", r.dram.bytes);
-    c
+/// Every counter a figure can read from a run.
+type Fingerprint =
+    (u64, Option<u64>, Vec<CoreStats>, Vec<CoreMemStats>, Vec<CoreMemStats>, DramStats);
+
+fn fingerprint(r: RunResult) -> Fingerprint {
+    (r.cycles, r.requests, r.cores, r.mem, r.polluter_mem, r.dram)
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run under --release")]
 fn same_seed_gives_bit_identical_counters() {
     for bench in [Benchmark::data_serving(), Benchmark::sat_solver(), Benchmark::mcf()] {
-        let a = fingerprint(&run(&bench, &cfg(42)));
-        let b = fingerprint(&run(&bench, &cfg(42)));
+        let a = fingerprint(run(&bench, &cfg(42)));
+        let b = fingerprint(run(&bench, &cfg(42)));
         assert_eq!(a, b, "{} is not deterministic", bench.name());
     }
 }
@@ -50,8 +43,8 @@ fn same_seed_gives_bit_identical_counters() {
 #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run under --release")]
 fn different_seeds_give_different_executions() {
     let bench = Benchmark::web_search();
-    let a = fingerprint(&run(&bench, &cfg(1)));
-    let b = fingerprint(&run(&bench, &cfg(2)));
+    let a = fingerprint(run(&bench, &cfg(1)));
+    let b = fingerprint(run(&bench, &cfg(2)));
     assert_ne!(a, b, "seed must influence the execution");
 }
 
@@ -59,7 +52,7 @@ fn different_seeds_give_different_executions() {
 #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run under --release")]
 fn configuration_changes_change_the_execution() {
     let bench = Benchmark::web_search();
-    let base = fingerprint(&run(&bench, &cfg(7)));
-    let smt = fingerprint(&run(&bench, &RunConfig { smt: true, ..cfg(7) }));
+    let base = fingerprint(run(&bench, &cfg(7)));
+    let smt = fingerprint(run(&bench, &RunConfig { smt: true, ..cfg(7) }));
     assert_ne!(base, smt);
 }
