@@ -886,6 +886,22 @@ impl<'a> Rig<'a> {
         }
     }
 
+    /// Restores a snapshot payload written by [`Unit::boundary`] into this
+    /// freshly built rig, attaching the threads the snapshot's phase had,
+    /// and returns that phase. A payload that does not decode is an error,
+    /// never a panic; the rig must then be rebuilt before further use.
+    fn restore_payload(&mut self, payload: &[u8]) -> Result<Phase, SnapError> {
+        let mut d = Dec::new(payload);
+        let phase = Phase::decode_snap(&mut d)?;
+        self.attach_polluters();
+        if !matches!(phase, Phase::PreWarm { .. }) {
+            self.attach_workers();
+        }
+        self.chip.restore_snap(&mut d)?;
+        d.finish()?;
+        Ok(phase)
+    }
+
     /// Polluters walk half the stolen capacity each (§3.1); they exist
     /// from cycle zero, before any workload thread.
     fn attach_polluters(&mut self) {
@@ -1149,18 +1165,7 @@ impl Unit {
     fn load(&self, rig: &mut Rig<'_>) -> Option<Phase> {
         let (_, path) = self.ckpt.as_ref()?;
         let payload = checkpoint::load_envelope(path, self.key)?;
-        let mut attempt = || -> Result<Phase, SnapError> {
-            let mut d = Dec::new(&payload);
-            let phase = Phase::decode_snap(&mut d)?;
-            rig.attach_polluters();
-            if !matches!(phase, Phase::PreWarm { .. }) {
-                rig.attach_workers();
-            }
-            rig.chip.restore_snap(&mut d)?;
-            d.finish()?;
-            Ok(phase)
-        };
-        match attempt() {
+        match rig.restore_payload(&payload) {
             Ok(phase) => Some(phase),
             Err(e) => {
                 // The envelope checksum held but the payload no longer
@@ -1497,6 +1502,80 @@ mod tests {
         let r = with_checkpointing(ctl, || run(&bench, &cfg)).expect("must degrade to fresh");
         assert_eq!(format!("{baseline:?}"), format!("{r:?}"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded corruptions of one real mid-warmup snapshot payload, fed
+    /// below the envelope checksum straight into the restore path: each
+    /// must come back as a typed error (or, for a bit flip that lands in
+    /// plain data, a clean restore), never a panic. Length fields are
+    /// overwritten with arbitrary values too, so a decoder that sized an
+    /// allocation or a loop from an unchecked field would abort or hang
+    /// here rather than pass.
+    #[test]
+    fn corrupt_snapshot_payloads_fail_typed_never_panic() {
+        use cs_trace::rng::stream_rng;
+        let benches = [Benchmark::mcf()];
+        let cfg = RunConfig { llc_bytes: Some(1 << 20), ..tiny() };
+        let mut rig = Rig::new(&benches, cfg.workers, &cfg);
+        let mut phase = Phase::PreWarm { cycles_done: 0 };
+        let out = rig.step(&mut phase, 1).expect("pre-warm").expect("no polluters, no pre-warm");
+        let ControlFlow::Continue(next) = rig.advance(phase, out) else { unreachable!() };
+        phase = next;
+        assert!(rig.step(&mut phase, 20_000).expect("warmup").is_none(), "window still open");
+        let mut e = Enc::new();
+        phase.encode_snap(&mut e);
+        rig.chip.encode_snap(&mut e);
+        let payload = e.buf;
+
+        // The intact payload restores and encodes back to the same bytes.
+        rig.rebuild();
+        let restored = rig.restore_payload(&payload).expect("the intact payload restores");
+        let mut e = Enc::new();
+        restored.encode_snap(&mut e);
+        rig.chip.encode_snap(&mut e);
+        assert!(e.buf == payload, "restore must round-trip");
+
+        let mut rng = stream_rng(0x0C5C_4B97, 0);
+        for case in 0..512 {
+            let mut bytes = payload.clone();
+            let at = rng.gen_range(0..payload.len());
+            // Whether every outcome but an error is a defect.
+            let must_fail = match case % 4 {
+                0 => {
+                    for _ in 0..rng.gen_range(1..5usize) {
+                        let bit = rng.gen_range(0..8 * payload.len());
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    false
+                }
+                1 => {
+                    let end = (at + 8).min(bytes.len());
+                    let word = rng.next_u64().to_le_bytes();
+                    bytes[at..end].copy_from_slice(&word[..end - at]);
+                    false
+                }
+                2 => {
+                    bytes.truncate(at);
+                    true
+                }
+                _ => {
+                    bytes = (0..rng.gen_range(0..4096usize)).map(|_| rng.gen_u8()).collect();
+                    true
+                }
+            };
+            rig.rebuild();
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rig.restore_payload(&bytes).map(|_| ())
+            }));
+            match got {
+                Err(_) => panic!("case {case} (mutation {}, offset {at}) panicked", case % 4),
+                Ok(r) => assert!(
+                    !(must_fail && r.is_ok()),
+                    "case {case} (mutation {}) restored from a damaged payload",
+                    case % 4
+                ),
+            }
+        }
     }
 
     fn sampled_tiny() -> RunConfig {

@@ -63,25 +63,25 @@ impl Balancer {
 
     /// Picks a machine for an attempt, or sheds.
     ///
-    /// `exclude` lists machines carrying live sibling attempts of the same
+    /// `excluded` names machines carrying live sibling attempts of the same
     /// request (hedges should land elsewhere); exclusion is best-effort —
     /// if every in-rotation machine is excluded, the exclusion is lifted
     /// rather than failing the dispatch.
     /// `barred` is a hard per-machine veto (an open or trial-busy circuit
-    /// breaker): unlike `exclude` it is never lifted — if every machine is
+    /// breaker): unlike `excluded` it is never lifted — if every machine is
     /// barred, the attempt sheds.
     /// `queue_capacity` bounds the per-machine wait queue.
     pub fn route(
         &self,
         machines: &[Machine],
-        exclude: &[usize],
+        excluded: impl Fn(usize) -> bool,
         queue_capacity: usize,
         barred: impl Fn(usize) -> bool,
     ) -> Route {
         let pick = |respect_exclude: bool| -> Option<usize> {
             let mut best: Option<(usize, usize)> = None;
             for (m, machine) in machines.iter().enumerate() {
-                if self.ejected[m] || barred(m) || (respect_exclude && exclude.contains(&m)) {
+                if self.ejected[m] || barred(m) || (respect_exclude && excluded(m)) {
                     continue;
                 }
                 let load = machine.load();
@@ -168,7 +168,8 @@ mod tests {
             .collect()
     }
 
-    fn open(_m: usize) -> bool {
+    /// Names no machine: nothing excluded, nothing barred.
+    fn none(_m: usize) -> bool {
         false
     }
 
@@ -176,7 +177,7 @@ mod tests {
     fn routes_to_least_loaded_lowest_id() {
         let machines = fleet(&[3, 1, 1, 2]);
         let b = Balancer::new(4);
-        assert_eq!(b.route(&machines, &[], 8, open), Route::To(1));
+        assert_eq!(b.route(&machines, none, 8, none), Route::To(1));
     }
 
     #[test]
@@ -186,34 +187,34 @@ mod tests {
         b.eject(0);
         b.eject(0);
         assert_eq!(b.ejections, 1);
-        assert_eq!(b.route(&machines, &[], 8, open), Route::To(1));
+        assert_eq!(b.route(&machines, none, 8, none), Route::To(1));
         b.readmit(0);
         assert_eq!(b.readmissions, 1);
-        assert_eq!(b.route(&machines, &[], 8, open), Route::To(0));
+        assert_eq!(b.route(&machines, none, 8, none), Route::To(0));
     }
 
     #[test]
     fn exclusion_is_best_effort() {
         let machines = fleet(&[1, 2]);
         let mut b = Balancer::new(2);
-        assert_eq!(b.route(&machines, &[0], 8, open), Route::To(1));
+        assert_eq!(b.route(&machines, |m| m == 0, 8, none), Route::To(1));
         // With machine 1 ejected, the exclusion of 0 must be lifted.
         b.eject(1);
-        assert_eq!(b.route(&machines, &[0], 8, open), Route::To(0));
+        assert_eq!(b.route(&machines, |m| m == 0, 8, none), Route::To(0));
     }
 
     #[test]
     fn saturation_and_empty_rotation_shed() {
         let machines = fleet(&[12, 12]);
         let mut b = Balancer::new(2);
-        assert_eq!(b.route(&machines, &[], 8, open), Route::Shed);
+        assert_eq!(b.route(&machines, none, 8, none), Route::Shed);
         let light = fleet(&[0]);
         let mut solo = Balancer::new(1);
         solo.eject(0);
-        assert_eq!(solo.route(&light, &[], 8, open), Route::Shed);
+        assert_eq!(solo.route(&light, none, 8, none), Route::Shed);
         b.eject(0);
         b.eject(1);
-        assert_eq!(b.route(&machines, &[], 8, open), Route::Shed);
+        assert_eq!(b.route(&machines, none, 8, none), Route::Shed);
     }
 
     #[test]
@@ -221,11 +222,11 @@ mod tests {
         let machines = fleet(&[0, 5]);
         let b = Balancer::new(2);
         // The breaker veto diverts to the worse machine...
-        assert_eq!(b.route(&machines, &[], 8, |m| m == 0), Route::To(1));
-        // ...and unlike `exclude`, is never lifted: all barred => shed.
-        assert_eq!(b.route(&machines, &[], 8, |_| true), Route::Shed);
-        // `exclude` of the only unbarred machine IS lifted.
-        assert_eq!(b.route(&machines, &[1], 8, |m| m == 0), Route::To(1));
+        assert_eq!(b.route(&machines, none, 8, |m| m == 0), Route::To(1));
+        // ...and unlike `excluded`, is never lifted: all barred => shed.
+        assert_eq!(b.route(&machines, none, 8, |_| true), Route::Shed);
+        // `excluded` of the only unbarred machine IS lifted.
+        assert_eq!(b.route(&machines, |m| m == 1, 8, |m| m == 0), Route::To(1));
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! - **Circuit breakers** ([`breaker`]): per-machine closed/open/half-open
 //!   breakers on client-observed failures — the mitigation that catches
 //!   gray machines the health ejector cannot see.
-//! - **The event loop** ([`sim`]): a single `(time, sequence)`-ordered
-//!   heap, which is the whole determinism argument — see the module docs.
+//! - **The event loop** ([`sim`]): one `(time, sequence)` total order,
+//!   kept by a heap for random delays plus a FIFO lane per fixed delay,
+//!   which is the whole determinism argument — see the module docs.
 //! - **SLO accounting** ([`report`]): percentiles, goodput, recovery-era
 //!   (post-trigger) attainment, and a conservation auditor (`arrived =
 //!   completed + shed + failed`, attempt-level books, retry-budget token
@@ -49,6 +50,7 @@ pub mod breaker;
 pub mod faults;
 pub mod machine;
 pub mod policy;
+mod queue;
 pub mod report;
 pub mod service;
 pub mod sim;

@@ -72,12 +72,11 @@ impl Machine {
         }
     }
 
-    /// Takes every attempt off the machine (crash): returns the drained
-    /// in-service and queued attempts.
-    pub fn drain(&mut self) -> (Vec<AttemptId>, Vec<AttemptId>) {
-        let serving = std::mem::take(&mut self.in_service);
-        let queued: Vec<AttemptId> = self.queue.drain(..).collect();
-        (serving, queued)
+    /// Takes every attempt off the machine (crash): appends the in-service
+    /// attempts, then the queued ones, to `out`.
+    pub fn drain_into(&mut self, out: &mut Vec<AttemptId>) {
+        out.append(&mut self.in_service);
+        out.extend(self.queue.drain(..));
     }
 }
 
@@ -114,9 +113,9 @@ mod tests {
         let mut m = Machine::new(2);
         m.in_service.extend([1, 2]);
         m.queue.extend([3, 4, 5]);
-        let (serving, queued) = m.drain();
-        assert_eq!(serving, vec![1, 2]);
-        assert_eq!(queued, vec![3, 4, 5]);
+        let mut out = vec![9];
+        m.drain_into(&mut out);
+        assert_eq!(out, vec![9, 1, 2, 3, 4, 5], "appended, serving first");
         assert_eq!(m.load(), 0);
     }
 }

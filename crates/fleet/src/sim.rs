@@ -4,17 +4,28 @@
 //! [`ServiceProfile`]): every random draw flows through seeded streams
 //! (arrivals, service times, per-machine and per-domain fault schedules),
 //! and every effect — including retries, hedges, crashes, gray episodes,
-//! and probes — is an event in a single binary heap ordered by
-//! `(time, sequence)`. The sequence number is assigned at scheduling time,
-//! so simultaneous events replay in the order they were scheduled; nothing
-//! observes allocation order, thread interleaving, or wall-clock time.
-//! That is the entire determinism argument, and it is what lets the
-//! `fleet_slo` and `fleet_resilience` experiments promise byte-identical
-//! results across `--jobs` values and reruns.
+//! and probes — is an event in one total order by `(time, sequence)`. The
+//! sequence number is assigned at scheduling time, so simultaneous events
+//! replay in the order they were scheduled; nothing observes allocation
+//! order, thread interleaving, or wall-clock time. That is the entire
+//! determinism argument, and it is what lets the `fleet_slo` and
+//! `fleet_resilience` experiments promise byte-identical results across
+//! `--jobs` values and reruns.
+//!
+//! The order is kept by one [`EventQueue`]: a heap for events whose delay
+//! is drawn at random (arrivals, service completions, retry backoffs,
+//! fault gaps) and a FIFO lane per delay that is a constant of the
+//! configuration (timeouts, connect failures, hedge timers, probes,
+//! breaker half-open timers, repairs, episode ends). A lane event fires at
+//! `now + delay`, and `now` never decreases, so each lane is already
+//! sorted; popping the least `(time, sequence)` among the heap top and the
+//! lane fronts yields exactly the order one heap of every event would.
+//! The storage is a cost choice only — the handlers, their random draws
+//! and the bytes they produce do not depend on it.
 //!
 //! Feedback-driven load does not weaken the argument: retries, hedges,
 //! breaker trips, and AIMD limit moves are all *computed from* prior
-//! events and *expressed as* new heap entries, so the closed loop between
+//! events and *expressed as* new queue entries, so the closed loop between
 //! congestion and offered load is just more events in the same total
 //! order. A metastable overload — where recovery-era retry load keeps the
 //! fleet saturated long after the triggering burst ends — replays
@@ -59,12 +70,11 @@ use crate::breaker::{BreakerBank, BreakerPolicy};
 use crate::faults::{FaultStreams, FleetFaultPlan};
 use crate::machine::Machine;
 use crate::policy::{AimdPolicy, HedgePolicy, RetryBudget, RetryPolicy};
+use crate::queue::EventQueue;
 use crate::report::{AuditPolicies, FleetStats};
 use crate::service::{ServiceProfile, ServiceSampler};
 use cs_trace::rng::SmallRng;
 use serde::Serialize;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// RNG stream id for the arrival process.
 const ARRIVAL_STREAM: u64 = 0xA1;
@@ -287,28 +297,48 @@ enum Ev {
     Probe { machine: usize },
 }
 
-/// Heap entry: min-ordered by `(at, seq)` via `Reverse`.
-#[derive(Debug)]
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Ev,
+/// The event queue's fixed-delay lanes, one per event kind whose delay is
+/// a constant of the configuration. Every other event goes to the heap.
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    /// [`Ev::Timeout`], `timeout_ns` after dispatch.
+    Timeout,
+    /// [`Ev::ConnectFail`], `connect_timeout_ns` after dispatch.
+    ConnectFail,
+    /// [`Ev::HedgeFire`], the hedge policy's `delay_ns`.
+    Hedge,
+    /// [`Ev::Probe`], `probe_interval_ns`.
+    Probe,
+    /// [`Ev::BreakerHalfOpen`], the breaker's `open_ns`.
+    HalfOpen,
+    /// [`Ev::Recover`], the fault plan's `repair_ns`.
+    Recover,
+    /// [`Ev::StragglerEnd`], the straggler episode length.
+    StragglerEnd,
+    /// [`Ev::GrayEnd`], the gray episode length.
+    GrayEnd,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl Lane {
+    /// Each lane's delay under `cfg`, indexed by lane. A lane whose policy
+    /// is off keeps delay 0; nothing is ever scheduled on it.
+    fn delays(cfg: &FleetConfig) -> [u64; 8] {
+        let mut d = [0; 8];
+        d[Lane::Timeout as usize] = cfg.timeout_ns;
+        d[Lane::ConnectFail as usize] = cfg.connect_timeout_ns;
+        d[Lane::Probe as usize] = cfg.probe_interval_ns;
+        if let Some(h) = cfg.hedge {
+            d[Lane::Hedge as usize] = h.delay_ns;
+        }
+        if let Some(b) = cfg.breaker {
+            d[Lane::HalfOpen as usize] = b.open_ns.max(1);
+        }
+        if let Some(p) = cfg.faults {
+            d[Lane::Recover as usize] = p.repair_ns.max(1);
+            d[Lane::StragglerEnd as usize] = p.straggler_duration_ns.max(1);
+            d[Lane::GrayEnd as usize] = p.gray_duration_ns.max(1);
+        }
+        d
     }
 }
 
@@ -337,6 +367,66 @@ struct Att {
     req: u32,
     machine: usize,
     state: AttState,
+    /// The next attempt in the request's [`Live`] list, or [`NIL`].
+    next_live: u32,
+}
+
+/// The end of a [`Live`] list.
+const NIL: u32 = u32::MAX;
+
+/// The live (non-terminal, non-abandoned) attempts of one request, linked
+/// through [`Att::next_live`] in dispatch order, which is ascending
+/// attempt id. A request holds at most its initial attempt, or its latest
+/// retry, plus its hedges, so every walk is short, and no request owns a
+/// buffer of its own.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    head: u32,
+    tail: u32,
+}
+
+impl Live {
+    const EMPTY: Self = Self { head: NIL, tail: NIL };
+
+    fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+
+    /// Appends attempt `a`, the request's newest.
+    fn push(&mut self, atts: &mut [Att], a: u32) {
+        atts[a as usize].next_live = NIL;
+        match self.tail {
+            NIL => self.head = a,
+            t => atts[t as usize].next_live = a,
+        }
+        self.tail = a;
+    }
+
+    /// Unlinks attempt `a`; returns whether it was live.
+    fn remove(&mut self, atts: &mut [Att], a: u32) -> bool {
+        let (mut prev, mut cur) = (NIL, self.head);
+        while cur != NIL {
+            let next = atts[cur as usize].next_live;
+            if cur == a {
+                match prev {
+                    NIL => self.head = next,
+                    p => atts[p as usize].next_live = next,
+                }
+                if self.tail == a {
+                    self.tail = prev;
+                }
+                return true;
+            }
+            (prev, cur) = (cur, next);
+        }
+        false
+    }
+
+    /// The live attempts, oldest first.
+    fn iter(self, atts: &[Att]) -> impl Iterator<Item = u32> + '_ {
+        let link = |a: u32| (a != NIL).then_some(a);
+        std::iter::successors(link(self.head), move |&a| link(atts[a as usize].next_live))
+    }
 }
 
 #[derive(Debug)]
@@ -347,8 +437,7 @@ struct Req {
     hedges_used: u32,
     /// Arrived at or after `trigger_end_ns` (recovery-era books).
     late: bool,
-    /// Live (non-terminal, non-abandoned) attempts of this request.
-    live: Vec<u32>,
+    live: Live,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -360,8 +449,7 @@ enum DispatchKind {
 
 struct Sim<'a> {
     cfg: &'a FleetConfig,
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
+    events: EventQueue<Ev>,
     now: u64,
     machines: Vec<Machine>,
     balancer: Balancer,
@@ -381,60 +469,78 @@ struct Sim<'a> {
     arrivals_generated: u64,
     resolved: u64,
     last_resolution: u64,
+    /// Reused buffer for the attempts a crash drains.
+    scratch: Vec<u32>,
 }
 
 /// Runs one simulation to completion.
 pub fn simulate(cfg: &FleetConfig, profile: &ServiceProfile) -> Result<FleetStats, FleetConfigError> {
     cfg.validate(profile)?;
-    let effective_mean =
-        ((profile.mean_service_ns as f64 * cfg.service_inflation) as u64).max(1);
-    let mut sim = Sim {
-        cfg,
-        heap: BinaryHeap::new(),
-        seq: 0,
-        now: 0,
-        machines: (0..cfg.machines).map(|_| Machine::new(cfg.contexts_per_machine)).collect(),
-        balancer: Balancer::new(cfg.machines),
-        breaker: cfg.breaker.map(|p| BreakerBank::new(p, cfg.machines)),
-        aimd: cfg.aimd.map(AimdLimiter::new),
-        budget_milli: cfg.retry_budget.map_or(0, |b| b.burst_milli),
-        outstanding: 0,
-        reqs: Vec::with_capacity(cfg.requests as usize),
-        atts: Vec::with_capacity(cfg.requests as usize),
-        arrivals: ArrivalProcess::new(
-            cfg.mean_interarrival_ns,
-            cfg.burst,
-            cs_trace::rng::stream_rng(cfg.seed, ARRIVAL_STREAM),
-        ),
-        service_rng: cs_trace::rng::stream_rng(cfg.seed, SERVICE_STREAM),
-        sampler: ServiceSampler::new(effective_mean),
-        faults: cfg.faults.map(|p| FaultStreams::new(p, cfg.machines, cfg.fault_domains)),
-        stats: FleetStats::default(),
-        arrivals_generated: 0,
-        resolved: 0,
-        last_resolution: 0,
-    };
-    // The initial bucket balance is granted budget.
-    sim.stats.budget_granted_milli = sim.budget_milli;
+    let mut sim = Sim::new(cfg, profile);
     sim.run();
-    let mut stats = sim.stats;
-    stats.ejections = sim.balancer.ejections;
-    stats.readmissions = sim.balancer.readmissions;
-    if let Some(b) = &sim.breaker {
-        stats.breaker_opens = b.opens;
-        stats.breaker_half_opens = b.half_opens;
-        stats.breaker_closes = b.closes;
-    }
-    stats.span_ns = sim.last_resolution;
-    stats.latencies_ns.sort_unstable();
-    stats.late_latencies_ns.sort_unstable();
-    Ok(stats)
+    Ok(sim.finish())
 }
 
-impl Sim<'_> {
+impl<'a> Sim<'a> {
+    /// A fleet at time zero with nothing scheduled; `cfg` is valid.
+    fn new(cfg: &'a FleetConfig, profile: &ServiceProfile) -> Self {
+        let effective_mean =
+            ((profile.mean_service_ns as f64 * cfg.service_inflation) as u64).max(1);
+        let mut sim = Sim {
+            cfg,
+            events: EventQueue::new(&Lane::delays(cfg)),
+            now: 0,
+            machines: (0..cfg.machines).map(|_| Machine::new(cfg.contexts_per_machine)).collect(),
+            balancer: Balancer::new(cfg.machines),
+            breaker: cfg.breaker.map(|p| BreakerBank::new(p, cfg.machines)),
+            aimd: cfg.aimd.map(AimdLimiter::new),
+            budget_milli: cfg.retry_budget.map_or(0, |b| b.burst_milli),
+            outstanding: 0,
+            reqs: Vec::with_capacity(cfg.requests as usize),
+            atts: Vec::with_capacity(cfg.requests as usize),
+            arrivals: ArrivalProcess::new(
+                cfg.mean_interarrival_ns,
+                cfg.burst,
+                cs_trace::rng::stream_rng(cfg.seed, ARRIVAL_STREAM),
+            ),
+            service_rng: cs_trace::rng::stream_rng(cfg.seed, SERVICE_STREAM),
+            sampler: ServiceSampler::new(effective_mean),
+            faults: cfg.faults.map(|p| FaultStreams::new(p, cfg.machines, cfg.fault_domains)),
+            stats: FleetStats::default(),
+            arrivals_generated: 0,
+            resolved: 0,
+            last_resolution: 0,
+            scratch: Vec::new(),
+        };
+        // The initial bucket balance is granted budget.
+        sim.stats.budget_granted_milli = sim.budget_milli;
+        sim
+    }
+
+    /// The statistics of a finished run.
+    fn finish(self) -> FleetStats {
+        let mut stats = self.stats;
+        stats.ejections = self.balancer.ejections;
+        stats.readmissions = self.balancer.readmissions;
+        if let Some(b) = &self.breaker {
+            stats.breaker_opens = b.opens;
+            stats.breaker_half_opens = b.half_opens;
+            stats.breaker_closes = b.closes;
+        }
+        stats.span_ns = self.last_resolution;
+        stats.latencies_ns.sort_unstable();
+        stats.late_latencies_ns.sort_unstable();
+        stats
+    }
+
+    /// Schedules `ev` at instant `at` (a random delay from now).
     fn schedule(&mut self, at: u64, ev: Ev) {
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq: self.seq, ev }));
+        self.events.at(at, ev);
+    }
+
+    /// Schedules `ev` one fixed `lane` delay from now.
+    fn schedule_after(&mut self, lane: Lane, ev: Ev) {
+        self.events.after(lane as usize, self.now, ev);
     }
 
     /// The fault domain machine `m` belongs to (round-robin assignment).
@@ -455,7 +561,7 @@ impl Sim<'_> {
             if let Some(gap) = self.faults.as_mut().and_then(|f| f.next_gray_gap(m)) {
                 self.schedule(gap, Ev::GrayStart { machine: m });
             }
-            self.schedule(self.cfg.probe_interval_ns, Ev::Probe { machine: m });
+            self.schedule_after(Lane::Probe, Ev::Probe { machine: m });
         }
         for d in 0..self.cfg.fault_domains {
             if let Some(gap) = self.faults.as_mut().and_then(|f| f.next_domain_outage_gap(d)) {
@@ -465,9 +571,9 @@ impl Sim<'_> {
                 self.schedule(gap, Ev::DomainGray { domain: d });
             }
         }
-        while let Some(Reverse(s)) = self.heap.pop() {
-            self.now = s.at;
-            self.handle(s.ev);
+        while let Some((at, ev)) = self.events.pop() {
+            self.now = at;
+            self.handle(ev);
             // Probes, crashes, and stragglers reschedule themselves forever;
             // the run is over once every request has resolved.
             if self.resolved == self.cfg.requests && self.arrivals_generated == self.cfg.requests
@@ -517,7 +623,7 @@ impl Sim<'_> {
             retries_used: 0,
             hedges_used: 0,
             late,
-            live: Vec::new(),
+            live: Live::EMPTY,
         });
         self.dispatch(r, DispatchKind::Initial);
         if self.arrivals_generated < self.cfg.requests {
@@ -561,12 +667,15 @@ impl Sim<'_> {
                 return;
             }
         }
-        let exclude: Vec<usize> =
-            self.reqs[r as usize].live.iter().map(|&a| self.atts[a as usize].machine).collect();
+        // Hedges should land away from the machines of live siblings.
+        let (atts, live) = (&self.atts, self.reqs[r as usize].live);
         let breaker = self.breaker.as_ref();
-        let route = self.balancer.route(&self.machines, &exclude, self.cfg.queue_capacity, |m| {
-            breaker.is_some_and(|b| !b.allows(m))
-        });
+        let route = self.balancer.route(
+            &self.machines,
+            |m| live.iter(atts).any(|a| atts[a as usize].machine == m),
+            self.cfg.queue_capacity,
+            |m| breaker.is_some_and(|b| !b.allows(m)),
+        );
         match route {
             Route::Shed => {
                 if !matches!(kind, DispatchKind::Hedge) {
@@ -589,9 +698,7 @@ impl Sim<'_> {
                 }
                 let start_now = self.machines[m].up && self.machines[m].has_free_context();
                 let state = if !self.machines[m].up {
-                    self.schedule(self.now + self.cfg.connect_timeout_ns, Ev::ConnectFail {
-                        attempt: a,
-                    });
+                    self.schedule_after(Lane::ConnectFail, Ev::ConnectFail { attempt: a });
                     AttState::ConnectPending
                 } else if start_now {
                     AttState::InService
@@ -599,10 +706,10 @@ impl Sim<'_> {
                     self.machines[m].queue.push_back(a);
                     AttState::Queued
                 };
-                self.atts.push(Att { req: r, machine: m, state });
-                self.reqs[r as usize].live.push(a);
+                self.atts.push(Att { req: r, machine: m, state, next_live: NIL });
+                self.reqs[r as usize].live.push(&mut self.atts, a);
                 self.outstanding += 1;
-                self.schedule(self.now + self.cfg.timeout_ns, Ev::Timeout { attempt: a });
+                self.schedule_after(Lane::Timeout, Ev::Timeout { attempt: a });
                 if start_now {
                     self.begin_service(a);
                 }
@@ -610,7 +717,7 @@ impl Sim<'_> {
                 if matches!(kind, DispatchKind::Initial) {
                     if let Some(h) = self.cfg.hedge {
                         if h.max_hedges > 0 {
-                            self.schedule(self.now + h.delay_ns, Ev::HedgeFire { req: r });
+                            self.schedule_after(Lane::Hedge, Ev::HedgeFire { req: r });
                         }
                     }
                 }
@@ -675,14 +782,8 @@ impl Sim<'_> {
     /// failure, crash) to the mitigation stack; a breaker trip schedules
     /// its deterministic half-open probe.
     fn note_attempt_failure(&mut self, m: usize) {
-        let mut open_ns = None;
-        if let Some(b) = self.breaker.as_mut() {
-            if b.on_failure(m) {
-                open_ns = Some(b.policy().open_ns.max(1));
-            }
-        }
-        if let Some(open) = open_ns {
-            self.schedule(self.now + open, Ev::BreakerHalfOpen { machine: m });
+        if self.breaker.as_mut().is_some_and(|b| b.on_failure(m)) {
+            self.schedule_after(Lane::HalfOpen, Ev::BreakerHalfOpen { machine: m });
         }
         if let Some(l) = self.aimd.as_mut() {
             l.on_failure();
@@ -766,9 +867,7 @@ impl Sim<'_> {
     fn attempt_failed(&mut self, a: u32) {
         let r = self.atts[a as usize].req;
         let req = &mut self.reqs[r as usize];
-        let before = req.live.len();
-        req.live.retain(|&x| x != a);
-        if req.live.len() != before {
+        if req.live.remove(&mut self.atts, a) {
             self.outstanding -= 1;
         }
         if req.resolved || !req.live.is_empty() {
@@ -804,7 +903,7 @@ impl Sim<'_> {
         let rearm = req.hedges_used < h.max_hedges;
         self.dispatch(r, DispatchKind::Hedge);
         if rearm {
-            self.schedule(self.now + h.delay_ns, Ev::HedgeFire { req: r });
+            self.schedule_after(Lane::Hedge, Ev::HedgeFire { req: r });
         }
     }
 
@@ -816,32 +915,34 @@ impl Sim<'_> {
         self.stats.machine_failures += 1;
         self.machines[m].up = false;
         self.machines[m].slow = false;
-        let (serving, queued) = self.machines[m].drain();
-        let mut observed = false;
-        let mut failed: Vec<u32> = Vec::new();
-        for a in serving.into_iter().chain(queued) {
-            match self.atts[a as usize].state {
-                AttState::InService | AttState::Queued => {
-                    self.atts[a as usize].state = AttState::Terminal;
-                    self.stats.crash_failures += 1;
-                    observed = true;
-                    failed.push(a);
-                }
-                // Abandoned work dies with the machine; it was already
-                // accounted for when the client gave it up.
-                AttState::Abandoned => self.atts[a as usize].state = AttState::Terminal,
-                _ => {}
+        // Serving, then queued attempts; only those still owed to a client
+        // are kept as failed.
+        let mut failed = std::mem::take(&mut self.scratch);
+        self.machines[m].drain_into(&mut failed);
+        failed.retain(|&a| match self.atts[a as usize].state {
+            AttState::InService | AttState::Queued => {
+                self.atts[a as usize].state = AttState::Terminal;
+                self.stats.crash_failures += 1;
+                true
             }
-        }
-        if observed {
+            // Abandoned work dies with the machine; it was already
+            // accounted for when the client gave it up.
+            AttState::Abandoned => {
+                self.atts[a as usize].state = AttState::Terminal;
+                false
+            }
+            _ => false,
+        });
+        if !failed.is_empty() {
             self.balancer.eject(m);
         }
-        for a in failed {
+        for &a in &failed {
             self.note_attempt_failure(m);
             self.attempt_failed(a);
         }
-        let repair = self.faults.as_ref().map_or(1, |f| f.plan().repair_ns.max(1));
-        self.schedule(self.now + repair, Ev::Recover { machine: m });
+        failed.clear();
+        self.scratch = failed;
+        self.schedule_after(Lane::Recover, Ev::Recover { machine: m });
     }
 
     fn on_crash(&mut self, m: usize) {
@@ -871,7 +972,7 @@ impl Sim<'_> {
             self.machines[m].slow = true;
             self.stats.straggler_episodes += 1;
             let end = self.now + p.straggler_duration_ns.max(1);
-            self.schedule(end, Ev::StragglerEnd { machine: m });
+            self.schedule_after(Lane::StragglerEnd, Ev::StragglerEnd { machine: m });
             if let Some(gap) = self.faults.as_mut().and_then(|f| f.next_straggle_gap(m)) {
                 self.schedule(end + gap, Ev::StragglerStart { machine: m });
             }
@@ -887,20 +988,20 @@ impl Sim<'_> {
     /// Puts machine `m` into a gray episode (if it is up and not already
     /// gray) and schedules its end. Shared by per-machine draws and
     /// domain-wide events.
-    fn start_gray(&mut self, m: usize, duration_ns: u64) -> bool {
+    fn start_gray(&mut self, m: usize) -> bool {
         if !self.machines[m].up || self.machines[m].gray {
             return false;
         }
         self.machines[m].gray = true;
         self.stats.gray_episodes += 1;
-        self.schedule(self.now + duration_ns.max(1), Ev::GrayEnd { machine: m });
+        self.schedule_after(Lane::GrayEnd, Ev::GrayEnd { machine: m });
         true
     }
 
     fn on_gray_start(&mut self, m: usize) {
         let plan = self.faults.as_ref().map(|f| *f.plan());
         let Some(p) = plan else { return };
-        if self.start_gray(m, p.gray_duration_ns) {
+        if self.start_gray(m) {
             let end = self.now + p.gray_duration_ns.max(1);
             if let Some(gap) = self.faults.as_mut().and_then(|f| f.next_gray_gap(m)) {
                 self.schedule(end + gap, Ev::GrayStart { machine: m });
@@ -940,7 +1041,7 @@ impl Sim<'_> {
         self.stats.domain_gray_episodes += 1;
         for m in 0..self.cfg.machines {
             if self.domain_of(m) == d {
-                self.start_gray(m, p.gray_duration_ns);
+                self.start_gray(m);
             }
         }
         let end = self.now + p.gray_duration_ns.max(1);
@@ -964,7 +1065,7 @@ impl Sim<'_> {
         } else {
             self.balancer.eject(m);
         }
-        self.schedule(self.now + self.cfg.probe_interval_ns, Ev::Probe { machine: m });
+        self.schedule_after(Lane::Probe, Ev::Probe { machine: m });
     }
 
     /// The winning attempt `a` completes its request: record the latency
@@ -975,41 +1076,48 @@ impl Sim<'_> {
         req.resolved = true;
         let late = req.late;
         let latency = self.now - req.arrived_at;
-        let drained: Vec<u32> = req.live.drain(..).collect();
-        self.outstanding -= drained.len() as u64;
+        let live = std::mem::replace(&mut req.live, Live::EMPTY);
+        self.outstanding -= live.iter(&self.atts).count() as u64;
         self.stats.completed += 1;
         self.stats.latencies_ns.push(latency);
         if late {
             self.stats.late_completed += 1;
             self.stats.late_latencies_ns.push(latency);
         }
-        for s in drained.into_iter().filter(|&x| x != a) {
-            let sm = self.atts[s as usize].machine;
-            match self.atts[s as usize].state {
-                AttState::Queued => {
-                    self.machines[sm].unqueue(s);
-                    self.atts[s as usize].state = AttState::Terminal;
-                    self.stats.cancelled += 1;
-                }
-                AttState::InService => {
-                    // Too late to pull it off the context; the server will
-                    // finish and the completion is wasted.
-                    self.atts[s as usize].state = AttState::Abandoned;
-                    self.stats.cancelled += 1;
-                }
-                AttState::ConnectPending | AttState::Dropped => {
-                    self.atts[s as usize].state = AttState::Terminal;
-                    self.stats.cancelled += 1;
-                }
-                AttState::Abandoned | AttState::Terminal => continue,
+        // Cancelling changes states only, never the links being walked.
+        let mut s = live.head;
+        while s != NIL {
+            let next = self.atts[s as usize].next_live;
+            if s != a {
+                self.cancel_sibling(s);
             }
-            // A cancelled half-open trial yields its slot; cancellation is
-            // not a health signal.
-            if let Some(b) = self.breaker.as_mut() {
-                b.on_cancel(sm);
-            }
+            s = next;
         }
         self.note_resolution();
+    }
+
+    /// Cancels attempt `s`, racing a sibling that just won.
+    fn cancel_sibling(&mut self, s: u32) {
+        let sm = self.atts[s as usize].machine;
+        match self.atts[s as usize].state {
+            AttState::Queued => {
+                self.machines[sm].unqueue(s);
+                self.atts[s as usize].state = AttState::Terminal;
+            }
+            // Too late to pull it off the context; the server will finish
+            // and the completion is wasted.
+            AttState::InService => self.atts[s as usize].state = AttState::Abandoned,
+            AttState::ConnectPending | AttState::Dropped => {
+                self.atts[s as usize].state = AttState::Terminal;
+            }
+            AttState::Abandoned | AttState::Terminal => return,
+        }
+        self.stats.cancelled += 1;
+        // A cancelled half-open trial yields its slot; cancellation is not
+        // a health signal.
+        if let Some(b) = self.breaker.as_mut() {
+            b.on_cancel(sm);
+        }
     }
 
     fn resolve_shed(&mut self, r: u32) {
@@ -1308,6 +1416,75 @@ mod tests {
         let b = simulate(&cfg, &profile()).expect("simulate");
         assert_eq!(a, b, "the full mitigation stack must stay byte-deterministic");
         a.audit(&cfg.audit_policies()).expect("audit");
+    }
+
+    #[test]
+    fn live_lists_keep_dispatch_order_through_removals() {
+        let mut atts: Vec<Att> = (0..5)
+            .map(|_| Att { req: 0, machine: 0, state: AttState::Queued, next_live: NIL })
+            .collect();
+        let mut live = Live::EMPTY;
+        for a in 0..4 {
+            live.push(&mut atts, a);
+        }
+        let order = |live: Live, atts: &[Att]| live.iter(atts).collect::<Vec<_>>();
+        assert!(live.remove(&mut atts, 2), "middle");
+        assert!(!live.remove(&mut atts, 2), "already gone");
+        assert!(live.remove(&mut atts, 0), "head");
+        assert!(live.remove(&mut atts, 3), "tail");
+        assert_eq!(order(live, &atts), [1]);
+        live.push(&mut atts, 4);
+        assert_eq!(order(live, &atts), [1, 4], "a push after a tail removal links behind 1");
+        assert!(live.remove(&mut atts, 1) && live.remove(&mut atts, 4));
+        assert!(live.is_empty());
+        live.push(&mut atts, 2);
+        assert_eq!(order(live, &atts), [2]);
+    }
+
+    #[test]
+    fn hedged_retry_resolves_its_live_attempts_in_dispatch_order() {
+        // One request on four one-context machines. Its initial attempt
+        // lands on a down machine, so a retry follows; two hedges then
+        // join the retry while it is still outstanding.
+        let cfg = FleetConfig {
+            contexts_per_machine: 1,
+            requests: 1,
+            timeout_ns: 40_000,
+            connect_timeout_ns: 1_000,
+            retry: RetryPolicy { max_retries: 2, base: 1_000, factor: 2, cap: 4_000 },
+            hedge: Some(HedgePolicy { delay_ns: 5_000, max_hedges: 2 }),
+            ..base_cfg()
+        };
+        let slow = ServiceProfile { mean_service_ns: 1_000_000, ..profile() };
+        cfg.validate(&slow).expect("valid");
+        let mut sim = Sim::new(&cfg, &slow);
+        let live = |sim: &Sim<'_>| sim.reqs[0].live.iter(&sim.atts).collect::<Vec<_>>();
+        sim.machines[0].up = false;
+        sim.on_arrival();
+        assert_eq!(live(&sim), [0]);
+        // Each handler runs at the instant its event would pop.
+        sim.now = 1_000;
+        sim.on_connect_fail(0);
+        assert!(live(&sim).is_empty(), "the failed connect leaves nothing live");
+        sim.now = 2_000;
+        sim.on_retry_fire(0);
+        sim.now = 7_000;
+        sim.on_hedge_fire(0);
+        sim.now = 12_000;
+        sim.on_hedge_fire(0);
+        assert_eq!(live(&sim), [1, 2, 3], "retry, then both hedges");
+        let machines: Vec<usize> = (1..4).map(|a| sim.atts[a].machine).collect();
+        assert_eq!(machines, [1, 2, 3], "each hedge avoids its live siblings' machines");
+        assert_eq!((sim.stats.retries, sim.stats.hedges, sim.outstanding), (1, 2, 3));
+        // The second hedge wins: both siblings are cancelled, each once.
+        sim.now = 13_000;
+        sim.on_service_done(3);
+        assert!(live(&sim).is_empty());
+        assert_eq!(sim.outstanding, 0);
+        assert_eq!((sim.stats.completed, sim.stats.cancelled), (1, 2));
+        assert_eq!(sim.atts[1].state, AttState::Abandoned);
+        assert_eq!(sim.atts[2].state, AttState::Abandoned);
+        assert_eq!(sim.atts[3].state, AttState::Terminal);
     }
 
     #[test]

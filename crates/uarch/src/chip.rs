@@ -459,7 +459,7 @@ impl Chip {
             )));
         }
         for core in &mut self.cores {
-            core.restore_snap(d)?;
+            core.restore_snap(d, self.cycle)?;
         }
         self.mem.restore_snap(d)
     }

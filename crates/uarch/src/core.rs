@@ -270,13 +270,20 @@ impl Thread {
     /// one (same factory, same seed). The source is fast-forwarded by
     /// re-pulling the snapshotted number of ops before the buffered state
     /// is installed, so its internal RNG/synth cursors land exactly where
-    /// they were when the snapshot was taken.
+    /// they were when the snapshot was taken. `max_pulled` bounds that
+    /// count: a corrupt one past it fails rather than pulling for ever.
     fn restore_snap(
         &mut self,
         d: &mut cs_trace::snap::Dec<'_>,
+        max_pulled: u64,
     ) -> Result<(), cs_trace::snap::SnapError> {
         use cs_trace::snap::{decode_op, SnapError};
         let ops_pulled = d.u64()?;
+        if ops_pulled > max_pulled {
+            return Err(SnapError::Mismatch(format!(
+                "{ops_pulled} ops pulled, more than the snapshot's cycle count allows"
+            )));
+        }
         // Fast-forward the fresh source. A source that dries up early is
         // not the source the snapshot was taken from.
         let mut remaining = ops_pulled;
@@ -1462,10 +1469,15 @@ impl OooCore {
     /// Restores a snapshot written by [`OooCore::encode_snap`] into this
     /// core, which must have been built with the same configuration and
     /// have the same number of threads attached (each with a fresh copy
-    /// of the snapshotted trace source).
+    /// of the snapshotted trace source). `cycle` is the number of cycles
+    /// stepped before the snapshot (the chip's cycle counter). A thread
+    /// consumes at most one fetch or commit width of ops a cycle, plus
+    /// the block it has buffered, which bounds the ops its source is
+    /// fast-forwarded by.
     pub fn restore_snap(
         &mut self,
         d: &mut cs_trace::snap::Dec<'_>,
+        cycle: u64,
     ) -> Result<(), cs_trace::snap::SnapError> {
         use cs_trace::snap::SnapError;
         self.stats = CoreStats::decode_snap(d)?;
@@ -1507,8 +1519,10 @@ impl OooCore {
                 self.threads.len()
             )));
         }
+        let per_cycle = u64::from(self.cfg.width.max(self.cfg.fetch_width));
+        let max_pulled = cycle.saturating_mul(per_cycle).saturating_add(FETCH_BLOCK as u64);
         for t in &mut self.threads {
-            t.restore_snap(d)?;
+            t.restore_snap(d, max_pulled)?;
         }
         Ok(())
     }
@@ -1839,7 +1853,7 @@ mod tests {
         let mut restored = OooCore::new(CoreConfig::x5670());
         restored.attach(Box::new(VecSource::new(mk_ops())));
         let mut d = Dec::new(&snap.buf);
-        restored.restore_snap(&mut d).expect("restore");
+        restored.restore_snap(&mut d, 5_000).expect("restore");
         d.finish().expect("full consumption");
 
         // Re-encoding the restored core must reproduce the bytes exactly.
@@ -1933,6 +1947,38 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_op_count_fails_instead_of_fast_forwarding() {
+        use cs_trace::snap::{Dec, Enc, SnapError};
+        use cs_trace::source::LoopSource;
+        let mk = || {
+            let mut c = OooCore::new(CoreConfig::x5670());
+            c.attach(Box::new(LoopSource::new(alu_ops(64))));
+            c
+        };
+        let mut live = mk();
+        let mut m = mem();
+        for now in 0..100 {
+            live.step(0, &mut m, now);
+        }
+        let mut e = Enc::new();
+        live.encode_snap(&mut e);
+        // The one thread's state ends the core's bytes, and opens with its
+        // count of ops pulled from the (endless) source.
+        let mut thread = Enc::new();
+        live.threads[0].encode_snap(&mut thread);
+        let at = e.buf.len() - thread.buf.len();
+        let pulled = u64::from_le_bytes(e.buf[at..at + 8].try_into().expect("8 bytes"));
+        assert!(pulled > 0 && pulled <= 100 * 4 + FETCH_BLOCK as u64);
+        for bad in [100 * 4 + FETCH_BLOCK as u64 + 1, 1 << 40, u64::MAX] {
+            let mut bytes = e.buf.clone();
+            bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            let got = mk().restore_snap(&mut Dec::new(&bytes), 100);
+            assert!(matches!(got, Err(SnapError::Mismatch(_))), "{bad}: {got:?}");
+        }
+        mk().restore_snap(&mut Dec::new(&e.buf), 100).expect("the intact bytes restore");
+    }
+
+    #[test]
     fn snapshot_roundtrip_preserves_fidelity() {
         use cs_trace::snap::{Dec, Enc};
         let mk = || {
@@ -1954,7 +2000,7 @@ mod tests {
         let mut restored = mk();
         assert_eq!(restored.fidelity(), Fidelity::Detailed);
         let mut d = Dec::new(&e.buf);
-        restored.restore_snap(&mut d).expect("restore");
+        restored.restore_snap(&mut d, 80).expect("restore");
         d.finish().expect("full consumption");
         assert_eq!(restored.fidelity(), Fidelity::Functional);
         let mut re = Enc::new();
