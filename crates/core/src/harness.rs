@@ -1510,7 +1510,9 @@ mod tests {
     /// plain data, a clean restore), never a panic. Length fields are
     /// overwritten with arbitrary values too, so a decoder that sized an
     /// allocation or a loop from an unchecked field would abort or hang
-    /// here rather than pass.
+    /// here rather than pass. A payload that restores is then stepped, so
+    /// structures that disagree must be caught by restore, not by a panic
+    /// mid-run.
     #[test]
     fn corrupt_snapshot_payloads_fail_typed_never_panic() {
         use cs_trace::rng::stream_rng;
@@ -1535,6 +1537,40 @@ mod tests {
         rig.chip.encode_snap(&mut e);
         assert!(e.buf == payload, "restore must round-trip");
 
+        // A completion naming no in-flight entry. The completion list of
+        // a core follows its stats, three counts, the off-core load count
+        // and the store-drain list; the chip's cores follow the phase, the
+        // cycle and skip counters and the core count.
+        let mut core_at = e.buf.len() - {
+            let mut chip = Enc::new();
+            rig.chip.encode_snap(&mut chip);
+            chip.buf.len()
+        } + 3 * 8;
+        let seq_at = rig.chip.cores().iter().find_map(|core| {
+            let mut d = Dec::new(&payload[core_at..]);
+            CoreStats::decode_snap(&mut d).expect("stats");
+            for _ in 0..3 {
+                d.len().expect("count");
+            }
+            d.u32().expect("off-core loads");
+            for _ in 0..d.len().expect("store drain") {
+                d.u64().expect("drain");
+            }
+            let in_flight = d.len().expect("completions") > 0;
+            let at = payload.len() - d.remaining() + 2 * 8;
+            let mut bytes = Enc::new();
+            core.encode_snap(&mut bytes);
+            core_at += bytes.buf.len();
+            in_flight.then_some(at)
+        });
+        let mut bytes = payload.clone();
+        let seq_at = seq_at.expect("a core has a completion in flight");
+        bytes[seq_at..seq_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        rig.rebuild();
+        let got = rig.restore_payload(&bytes).map(|_| ());
+        assert!(matches!(got, Err(SnapError::Mismatch(_))), "{got:?}");
+
+        const STEP_CYCLES: u64 = 2_000;
         let mut rng = stream_rng(0x0C5C_4B97, 0);
         for case in 0..512 {
             let mut bytes = payload.clone();
@@ -1565,7 +1601,11 @@ mod tests {
             };
             rig.rebuild();
             let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                rig.restore_payload(&bytes).map(|_| ())
+                let r = rig.restore_payload(&bytes).map(|_| ());
+                if r.is_ok() {
+                    rig.chip.run_cycles(STEP_CYCLES);
+                }
+                r
             }));
             match got {
                 Err(_) => panic!("case {case} (mutation {}, offset {at}) panicked", case % 4),

@@ -121,6 +121,9 @@ pub struct Chip {
     /// Per-core start of the current certified-idle span, bulk-accounted
     /// lazily when the certificate expires or the window ends.
     skip_idle: Vec<Option<u64>>,
+    /// The cores a `run_cycles` call still visits, in index order: those
+    /// whose certificate is not `u64::MAX`.
+    live: Vec<usize>,
 }
 
 impl Chip {
@@ -134,6 +137,7 @@ impl Chip {
             skipped_cycles: 0,
             skip_next: vec![0; n_cores],
             skip_idle: vec![None; n_cores],
+            live: Vec::with_capacity(n_cores),
         }
     }
 
@@ -223,6 +227,9 @@ impl Chip {
     /// - **Chip jumps:** when every certificate (and every memory-system
     ///   timer) lies in the future, the clock jumps straight to the
     ///   earliest one.
+    /// - **Live cores:** a core certified `u64::MAX` (no thread, or
+    ///   drained) can never act again in this call, so it leaves the loop
+    ///   and is not visited again until its idle span is flushed.
     ///
     /// Jumps are clamped to the end of this call's window and all pending
     /// idle spans are flushed before returning, so the chip always lands on
@@ -244,13 +251,24 @@ impl Chip {
             }
             return;
         }
-        self.skip_next.iter_mut().for_each(|c| *c = 0);
-        self.skip_idle.iter_mut().for_each(|s| *s = None);
+        let live = &mut self.live;
+        live.clear();
+        for (i, core) in self.cores.iter().enumerate() {
+            let cert = core.next_event_cycle(self.cycle);
+            self.skip_next[i] = cert;
+            self.skip_idle[i] = (cert > self.cycle).then_some(self.cycle);
+            if cert != u64::MAX {
+                live.push(i);
+            }
+        }
         while self.cycle < end {
             let now = self.cycle;
             let mut chip_next = self.mem.next_event_cycle(now);
-            for (i, core) in self.cores.iter_mut().enumerate() {
+            let mut kept = 0;
+            for j in 0..live.len() {
+                let i = live[j];
                 if self.skip_next[i] <= now {
+                    let core = &mut self.cores[i];
                     if let Some(s) = self.skip_idle[i].take() {
                         core.account_idle_cycles(s, now - s);
                     }
@@ -259,18 +277,24 @@ impl Chip {
                     if cert > now {
                         self.skip_idle[i] = Some(now);
                     }
+                    if cert == u64::MAX {
+                        continue;
+                    }
                 }
+                live[kept] = i;
+                kept += 1;
                 chip_next = chip_next.min(self.skip_next[i]);
             }
+            live.truncate(kept);
             if chip_next > now {
                 let to = chip_next.min(end);
                 self.skipped_cycles += to - now;
                 self.cycle = to;
                 continue;
             }
-            for (i, core) in self.cores.iter_mut().enumerate() {
+            for &i in live.iter() {
                 if self.skip_next[i] <= now {
-                    core.step(i, &mut self.mem, now);
+                    self.cores[i].step(i, &mut self.mem, now);
                 }
             }
             self.cycle += 1;
@@ -428,8 +452,8 @@ impl Chip {
     /// threads, predictor, statistics) and the shared memory system.
     ///
     /// Not serialized: `cycle_skip` (configuration, chosen by the run, and
-    /// byte-identical either way) and the `skip_next` / `skip_idle`
-    /// scratch, which [`Chip::run_cycles`] resets at entry precisely so
+    /// byte-identical either way) and the `skip_next` / `skip_idle` /
+    /// `live` scratch, which [`Chip::run_cycles`] resets at entry precisely so
     /// cores may be mutated — or snapshotted and restored — between calls.
     pub fn encode_snap(&self, e: &mut cs_trace::snap::Enc) {
         e.u64(self.cycle);
@@ -739,6 +763,32 @@ mod tests {
         assert_eq!(idle.cycles, 20_000);
         assert_eq!(idle.stalled_cycles, [0, 0]);
         assert_eq!(idle.committing_cycles, [0, 0]);
+    }
+
+    #[test]
+    fn cycle_skip_is_identical_when_cores_leave_the_live_loop() {
+        // Cores 2 and 3 have no thread and leave the loop at entry; core 1
+        // runs dry mid-window and leaves once drained, while core 0
+        // keeps running long windows across both.
+        let mk = || {
+            let mut chip = Chip::new(CoreConfig::x5670(), mem_cfg(), 4);
+            chip.attach(0, Box::new(VecSource::new(far_load_chain(2_000, 1009))));
+            chip.attach(1, Box::new(VecSource::new(alu_ops(3_000))));
+            chip
+        };
+        let run = |skip: bool| {
+            let mut chip = mk();
+            chip.set_cycle_skip(skip);
+            chip.run_cycles(200_000);
+            chip
+        };
+        let (fast, slow) = (run(true), run(false));
+        assert_identical(&fast, &slow);
+        let (windowed, _) = run_both(mk, 200_000);
+        assert_identical(&windowed, &slow);
+        assert!(!fast.cores()[0].is_done(), "core 0 must run the whole window");
+        assert_eq!(fast.cores()[1].stats().instructions(), 3_000);
+        assert!(fast.cores()[1..].iter().all(|c| c.is_done() && c.stats().cycles == 200_000));
     }
 
     #[test]

@@ -3,6 +3,10 @@
 use crate::branch::BranchModel;
 use serde::Serialize;
 
+/// The largest ROB one hardware thread may have: the core keeps a
+/// thread's ROB slots in 256-bit sets and names a slot in 8 bits.
+pub const MAX_ROB_PER_THREAD: usize = 256;
+
 /// How an SMT core divides fetch slots between its hardware threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum SmtFetchPolicy {
@@ -122,11 +126,17 @@ impl CoreConfig {
     /// # Panics
     ///
     /// Panics on degenerate configurations (zero width, no ROB, no
-    /// threads, more than 2 threads).
+    /// threads, more than 2 threads) and on a per-thread ROB larger than
+    /// [`MAX_ROB_PER_THREAD`].
     pub fn validate(&self) {
         assert!(self.width >= 1, "core width must be at least 1");
         assert!(self.fetch_width >= 1, "fetch width must be at least 1");
         assert!(self.rob_entries >= self.smt_threads, "ROB too small");
+        assert!(
+            self.rob_per_thread() <= MAX_ROB_PER_THREAD,
+            "ROB of {} entries per thread exceeds the {MAX_ROB_PER_THREAD} a thread can hold",
+            self.rob_per_thread()
+        );
         assert!((1..=2).contains(&self.smt_threads), "1 or 2 hardware threads");
         assert!(self.load_queue >= 1 && self.store_queue >= 1, "LSQ too small");
         assert!(self.mshrs >= 1, "need at least one MSHR");
@@ -169,6 +179,22 @@ mod tests {
     #[should_panic(expected = "width")]
     fn rejects_zero_width() {
         CoreConfig { width: 0, ..CoreConfig::default() }.validate();
+    }
+
+    #[test]
+    fn every_configured_window_validates() {
+        CoreConfig::narrow2().validate();
+        CoreConfig::x5670_smt().validate();
+        for rob_entries in [48, 64, 128, 256] {
+            CoreConfig { rob_entries, ..CoreConfig::default() }.validate();
+        }
+        CoreConfig { rob_entries: 512, ..CoreConfig::x5670_smt() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "ROB of 257 entries per thread exceeds the 256")]
+    fn rejects_a_rob_past_the_slot_range() {
+        CoreConfig { rob_entries: 257, ..CoreConfig::default() }.validate();
     }
 
     #[test]

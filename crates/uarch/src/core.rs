@@ -19,15 +19,15 @@
 //!    structural limit on memory-level parallelism (§4.3). Issue is
 //!    wakeup-driven: a dispatched op registers on the wake lists of its
 //!    unfinished producers, and a producer's completion moves consumers
-//!    whose last operand arrived onto a seq-ordered ready list, the only
-//!    ops the issue stage examines;
+//!    whose last operand arrived into a ready set over ROB slots, the
+//!    only ops the issue stage examines;
 //! 5. **commit** — up to `width` done ops retire in per-thread program
 //!    order. Each cycle is classified *Committing* or *Stalled* and
 //!    attributed to application or OS execution, the paper's Figure 1
 //!    methodology.
 
 use crate::branch::{BranchModel, Gshare};
-use crate::config::{CoreConfig, SmtFetchPolicy};
+use crate::config::{CoreConfig, SmtFetchPolicy, MAX_ROB_PER_THREAD};
 use crate::stats::CoreStats;
 use cs_memsys::MemorySystem;
 use cs_trace::{MicroOp, OpKind, Privilege, TraceSource};
@@ -59,39 +59,47 @@ enum EntryState {
     Done,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
     op: MicroOp,
-    seq: u64,
     state: EntryState,
     offcore_load: bool,
     /// Wakeup bookkeeping, derived and never serialized (see
     /// [`Thread::rebuild_wakeup`]): producers not yet `Done`, counted per
-    /// dependency slot. A waiting entry at 0 is on the ready list.
+    /// dependency slot. A waiting entry at 0 is on the ready set.
     unresolved: u8,
     /// Head of the list of consumers waiting on this entry, as wake nodes
-    /// (`consumer_seq << 1 | dependency_slot`); [`NO_WAKE`] when empty.
-    wake_head: u64,
+    /// (`consumer_slot << 1 | dependency_slot`); [`NO_WAKE`] when empty.
+    wake_head: u16,
     /// Next wake node after this entry's node for each dependency slot.
-    wake_next: [u64; 2],
+    wake_next: [u16; 2],
 }
 
 impl RobEntry {
-    fn new(op: MicroOp, seq: u64, state: EntryState, offcore_load: bool) -> Self {
-        Self {
-            op,
-            seq,
-            state,
-            offcore_load,
-            unresolved: 0,
-            wake_head: NO_WAKE,
-            wake_next: [NO_WAKE; 2],
-        }
+    fn new(op: MicroOp, state: EntryState, offcore_load: bool) -> Self {
+        Self { op, state, offcore_load, unresolved: 0, wake_head: NO_WAKE, wake_next: [NO_WAKE; 2] }
     }
 }
 
 /// End-of-list marker of the wake lists.
-const NO_WAKE: u64 = u64::MAX;
+const NO_WAKE: u16 = u16::MAX;
+
+/// Completion keys pack `done_at << 9 | tid << 8 | slot` into one `u64`,
+/// so the heap orders by completion cycle and compares one word.
+const KEY_DONE_SHIFT: u32 = 9;
+
+/// Completion cycles a key can hold. A snapshot past it fails to restore.
+const MAX_DONE_AT: u64 = u64::MAX >> KEY_DONE_SHIFT;
+
+fn completion_key(done_at: u64, tid: usize, slot: usize) -> u64 {
+    debug_assert!(done_at <= MAX_DONE_AT && tid < 2 && slot < MAX_ROB_PER_THREAD);
+    done_at << KEY_DONE_SHIFT | (tid as u64) << 8 | slot as u64
+}
+
+/// `(done_at, tid, slot)` of a completion key.
+fn split_key(key: u64) -> (u64, usize, usize) {
+    (key >> KEY_DONE_SHIFT, (key >> 8 & 1) as usize, (key & 0xff) as usize)
+}
 
 /// Issue-port classes with a per-cycle limit: memory, FP, divide.
 const PORT_CLASSES: usize = 3;
@@ -112,6 +120,161 @@ fn port_class(kind: OpKind) -> Option<usize> {
 /// run-ahead past the fetch point stays negligible.
 const FETCH_BLOCK: usize = 32;
 
+/// A fixed-capacity FIFO over a power-of-two slot array. Indexing takes a
+/// slot, not a position: the ROB keeps entry `seq` in slot `seq & mask`.
+#[derive(Debug)]
+struct Ring<T> {
+    slots: Box<[T]>,
+    head: usize,
+    len: usize,
+}
+
+impl<T: Copy> Ring<T> {
+    /// A ring holding at least `cap` items, filled with `fill`.
+    fn new(cap: usize, fill: T) -> Self {
+        Self { slots: vec![fill; cap.next_power_of_two()].into_boxed_slice(), head: 0, len: 0 }
+    }
+
+    fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn front(&self) -> Option<&T> {
+        (self.len > 0).then(|| &self.slots[self.head])
+    }
+
+    fn push_back(&mut self, v: T) {
+        debug_assert!(self.len < self.slots.len(), "ring overflow");
+        self.slots[(self.head + self.len) & self.mask()] = v;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let v = *self.front()?;
+        self.head = (self.head + 1) & self.mask();
+        self.len -= 1;
+        Some(v)
+    }
+
+    /// Empties the ring, its next item going to `head` (masked).
+    fn reset(&mut self, head: usize) {
+        self.head = head & self.mask();
+        self.len = 0;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        (0..self.len).map(move |k| &self.slots[(self.head + k) & self.mask()])
+    }
+}
+
+impl<T> std::ops::Index<usize> for Ring<T> {
+    type Output = T;
+    fn index(&self, slot: usize) -> &T {
+        &self.slots[slot]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Ring<T> {
+    fn index_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.slots[slot]
+    }
+}
+
+/// A set of ROB slots. Program order is slot order starting at the ROB
+/// head: `[head, cap)`, then `[0, head)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SlotSet([u64; MAX_ROB_PER_THREAD / 64]);
+
+impl SlotSet {
+    fn insert(&mut self, slot: usize) {
+        self.0[slot >> 6] |= 1 << (slot & 63);
+    }
+
+    fn remove(&mut self, slot: usize) {
+        self.0[slot >> 6] &= !(1 << (slot & 63));
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.0[slot >> 6] >> (slot & 63) & 1 == 1
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn clear(&mut self) {
+        self.0 = [0; MAX_ROB_PER_THREAD / 64];
+    }
+
+    /// The lowest member in `[lo, hi)`.
+    fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        let mut w = lo >> 6;
+        let mut bits = self.0[w] & (!0 << (lo & 63));
+        loop {
+            if bits != 0 {
+                let slot = w << 6 | bits.trailing_zeros() as usize;
+                return (slot < hi).then_some(slot);
+            }
+            w += 1;
+            if w << 6 >= hi {
+                return None;
+            }
+            bits = self.0[w];
+        }
+    }
+
+    /// The highest member in `[lo, hi)`.
+    fn last_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        let mut w = (hi - 1) >> 6;
+        let mut bits = self.0[w] & (!0 >> (63 - ((hi - 1) & 63)));
+        loop {
+            if bits != 0 {
+                let slot = w << 6 | (63 - bits.leading_zeros() as usize);
+                return (slot >= lo).then_some(slot);
+            }
+            if w << 6 <= lo {
+                return None;
+            }
+            w -= 1;
+            bits = self.0[w];
+        }
+    }
+
+    /// The first member at or after program-order position `ord` of a
+    /// ROB whose head is `head` in `cap` slots.
+    fn next_in_order(&self, head: usize, cap: usize, ord: usize) -> Option<usize> {
+        let from = head + ord;
+        if from < cap {
+            self.first_in(from, cap).or_else(|| self.first_in(0, head))
+        } else {
+            self.first_in(from - cap, head)
+        }
+    }
+
+    /// The youngest member in program order.
+    fn youngest(&self, head: usize, cap: usize) -> Option<usize> {
+        self.last_in(0, head).or_else(|| self.last_in(head, cap))
+    }
+}
+
 struct Thread {
     source: Box<dyn TraceSource>,
     /// Total ops ever pulled from `source`. Snapshots store this instead
@@ -124,8 +287,10 @@ struct Thread {
     /// time); `block_pos` is the next unconsumed op.
     block: Vec<MicroOp>,
     block_pos: usize,
-    rob: VecDeque<RobEntry>,
-    fetch_buf: VecDeque<MicroOp>,
+    /// The reorder buffer: entry `seq` lives in slot `seq & mask`, so the
+    /// head holds `next_seq - len`.
+    rob: Ring<RobEntry>,
+    fetch_buf: Ring<MicroOp>,
     pending: Option<MicroOp>,
     next_seq: u64,
     fetch_stall_until: u64,
@@ -139,17 +304,17 @@ struct Thread {
     /// Dispatched-but-not-issued (`Waiting`) ROB entries, bounded by the
     /// reservation stations. In-order cores issue in program order, so
     /// theirs are always the youngest `n_waiting` entries. This count and
-    /// the ready and per-class lists below are derived from the ROB entry
+    /// the ready and per-class sets below are derived from the ROB entry
     /// states and not serialized; snapshots list the waiting entries
     /// themselves (see `Thread::waiting`).
     n_waiting: usize,
-    /// The waiting entries whose producers are all `Done` or retired, in
-    /// program order: the only entries the issue stage examines.
-    ready: Vec<u64>,
-    /// The waiting entries of each port class, in program order; lets
-    /// issue reproduce the port-blocking rule of a full waiting-list scan
+    /// The slots of the waiting entries whose producers are all `Done` or
+    /// retired: the only entries the issue stage examines.
+    ready: SlotSet,
+    /// The slots of the waiting entries of each port class; lets issue
+    /// reproduce the port-blocking rule of a full waiting-list scan
     /// without walking the window.
-    port_waiting: [Vec<u64>; PORT_CLASSES],
+    port_waiting: [SlotSet; PORT_CLASSES],
     /// A fetched branch awaiting its outcome (gshare mode): resolved by
     /// the next fetched instruction's PC.
     held_branch: Option<MicroOp>,
@@ -167,14 +332,15 @@ impl std::fmt::Debug for Thread {
 }
 
 impl Thread {
-    fn new(source: Box<dyn TraceSource>) -> Self {
+    fn new(source: Box<dyn TraceSource>, cfg: &CoreConfig) -> Self {
+        let idle = MicroOp::alu(0);
         Self {
             source,
             ops_pulled: 0,
             block: Vec::with_capacity(FETCH_BLOCK),
             block_pos: 0,
-            rob: VecDeque::new(),
-            fetch_buf: VecDeque::new(),
+            rob: Ring::new(cfg.rob_per_thread(), RobEntry::new(idle, EntryState::Done, false)),
+            fetch_buf: Ring::new(cfg.fetch_buffer, idle),
             pending: None,
             next_seq: 0,
             fetch_stall_until: 0,
@@ -184,7 +350,7 @@ impl Thread {
             last_fetch_priv: Privilege::User,
             exhausted: false,
             n_waiting: 0,
-            ready: Vec::new(),
+            ready: SlotSet::default(),
             port_waiting: Default::default(),
             held_branch: None,
         }
@@ -213,6 +379,25 @@ impl Thread {
         Some(op)
     }
 
+    /// Sequence number of the ROB head.
+    #[inline]
+    fn front_seq(&self) -> u64 {
+        self.next_seq - self.rob.len() as u64
+    }
+
+    /// ROB slot of the in-flight entry `seq`.
+    #[inline]
+    #[allow(clippy::cast_possible_truncation)] // only the low slot bits are kept
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & self.rob.mask()
+    }
+
+    /// Program-order position of ROB slot `slot` (0 at the head).
+    #[inline]
+    fn ord(&self, slot: usize) -> usize {
+        slot.wrapping_sub(self.rob.head) & self.rob.mask()
+    }
+
     /// Serializes everything except the trace source itself (see
     /// `ops_pulled` for how the source is reconstructed).
     fn encode_snap(&self, e: &mut cs_trace::snap::Enc) {
@@ -224,9 +409,9 @@ impl Thread {
         }
         e.len(self.block_pos);
         e.len(self.rob.len());
-        for entry in &self.rob {
+        for (seq, entry) in self.entries() {
             encode_op(e, &entry.op);
-            e.u64(entry.seq);
+            e.u64(seq);
             e.u8(match entry.state {
                 EntryState::Waiting => 0,
                 EntryState::Issued => 1,
@@ -235,7 +420,7 @@ impl Thread {
             e.bool(entry.offcore_load);
         }
         e.len(self.fetch_buf.len());
-        for op in &self.fetch_buf {
+        for op in self.fetch_buf.iter() {
             encode_op(e, op);
         }
         match &self.pending {
@@ -272,10 +457,13 @@ impl Thread {
     /// is installed, so its internal RNG/synth cursors land exactly where
     /// they were when the snapshot was taken. `max_pulled` bounds that
     /// count: a corrupt one past it fails rather than pulling for ever.
+    /// `rob_cap` and `fetch_cap` bound the ROB and the fetch buffer.
     fn restore_snap(
         &mut self,
         d: &mut cs_trace::snap::Dec<'_>,
         max_pulled: u64,
+        rob_cap: usize,
+        fetch_cap: usize,
     ) -> Result<(), cs_trace::snap::SnapError> {
         use cs_trace::snap::{decode_op, SnapError};
         let ops_pulled = d.u64()?;
@@ -310,7 +498,10 @@ impl Thread {
             return Err(SnapError::Mismatch("block cursor past buffer end".into()));
         }
         let n = d.len()?;
-        self.rob.clear();
+        if n > rob_cap {
+            return Err(SnapError::Mismatch(format!("ROB holds {n} entries, capacity {rob_cap}")));
+        }
+        let mut last_seq: Option<u64> = None;
         for _ in 0..n {
             let op = decode_op(d)?;
             let seq = d.u64()?;
@@ -321,14 +512,24 @@ impl Thread {
                 t => return Err(SnapError::BadTag(t)),
             };
             let offcore_load = d.bool()?;
-            // Wakeup indexes the ROB by sequence number.
-            if self.rob.back().is_some_and(|prev| prev.seq.checked_add(1) != Some(seq)) {
-                return Err(SnapError::Mismatch("ROB sequence numbers not consecutive".into()));
+            // Entry `seq` lives in slot `seq & mask`.
+            match last_seq {
+                None => self.rob.reset(self.slot(seq)),
+                Some(prev) if prev.checked_add(1) != Some(seq) => {
+                    return Err(SnapError::Mismatch("ROB sequence numbers not consecutive".into()))
+                }
+                Some(_) => {}
             }
-            self.rob.push_back(RobEntry::new(op, seq, state, offcore_load));
+            last_seq = Some(seq);
+            self.rob.push_back(RobEntry::new(op, state, offcore_load));
         }
         let n = d.len()?;
-        self.fetch_buf.clear();
+        if n > fetch_cap {
+            return Err(SnapError::Mismatch(format!(
+                "fetch buffer holds {n} ops, capacity {fetch_cap}"
+            )));
+        }
+        self.fetch_buf.reset(0);
         for _ in 0..n {
             self.fetch_buf.push_back(decode_op(d)?);
         }
@@ -338,6 +539,15 @@ impl Thread {
             t => return Err(SnapError::BadTag(t)),
         };
         self.next_seq = d.u64()?;
+        match last_seq {
+            None => self.rob.reset(self.slot(self.next_seq)),
+            Some(last) if last.checked_add(1) != Some(self.next_seq) => {
+                return Err(SnapError::Mismatch(
+                    "ROB does not end at the next sequence number".into(),
+                ))
+            }
+            Some(_) => {}
+        }
         self.fetch_stall_until = d.u64()?;
         self.mem_fetch_stall_until = d.u64()?;
         self.cur_fetch_line = d.u64()?;
@@ -345,7 +555,7 @@ impl Thread {
         self.last_fetch_priv = cs_trace::snap::decode_privilege(d)?;
         self.exhausted = d.bool()?;
         let n = d.len()?;
-        let mut waiting = Vec::with_capacity(n);
+        let mut waiting = Vec::with_capacity(n.min(rob_cap));
         for _ in 0..n {
             waiting.push(d.u64()?);
         }
@@ -361,137 +571,135 @@ impl Thread {
         Ok(())
     }
 
-    /// Sequence numbers of the waiting entries, in program order.
-    fn waiting(&self) -> impl Iterator<Item = u64> + '_ {
-        self.rob.iter().filter(|e| e.state == EntryState::Waiting).map(|e| e.seq)
+    /// The in-flight entries with their sequence numbers, in program
+    /// order.
+    fn entries(&self) -> impl Iterator<Item = (u64, &RobEntry)> + '_ {
+        let front = self.front_seq();
+        self.rob.iter().enumerate().map(move |(k, e)| (front + k as u64, e))
     }
 
-    /// ROB index of the in-flight entry `seq`.
-    #[inline]
-    fn rob_idx(&self, seq: u64) -> usize {
-        (seq - self.rob.front().expect("entry is in flight").seq) as usize
+    /// Sequence numbers of the waiting entries, in program order.
+    fn waiting(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries().filter(|(_, e)| e.state == EntryState::Waiting).map(|(seq, _)| seq)
     }
 
     /// Registers the newest waiting entry `seq` for wakeup: counts its
     /// producers that are not yet `Done`, links it onto their wake lists
-    /// and files it under its port class, or on the ready list if no
-    /// producer is outstanding. Entries must register in program order.
+    /// and files it under its port class, or in the ready set if no
+    /// producer is outstanding.
     fn register_waiting(&mut self, seq: u64) {
-        let front = self.rob.front().expect("entry is in flight").seq;
-        let idx = (seq - front) as usize;
-        let op = self.rob[idx].op;
+        let front = self.front_seq();
+        let slot = self.slot(seq);
+        let op = self.rob[slot].op;
         let mut unresolved = 0;
-        for (slot, dist) in [op.dep1, op.dep2].into_iter().enumerate() {
+        for (dep, dist) in [op.dep1, op.dep2].into_iter().enumerate() {
             let Some(p) = seq.checked_sub(u64::from(dist)).filter(|&p| dist > 0 && p >= front)
             else {
                 continue; // no dependency, or the producer already retired
             };
-            let producer = &mut self.rob[(p - front) as usize];
+            let producer_slot = self.slot(p);
+            let producer = &mut self.rob[producer_slot];
             if producer.state == EntryState::Done {
                 continue;
             }
-            let next = std::mem::replace(&mut producer.wake_head, seq << 1 | slot as u64);
-            self.rob[idx].wake_next[slot] = next;
+            #[allow(clippy::cast_possible_truncation)] // slot < MAX_ROB_PER_THREAD
+            let node = (slot << 1 | dep) as u16;
+            let next = std::mem::replace(&mut producer.wake_head, node);
+            self.rob[slot].wake_next[dep] = next;
             unresolved += 1;
         }
-        self.rob[idx].unresolved = unresolved;
+        self.rob[slot].unresolved = unresolved;
         if let Some(c) = port_class(op.kind) {
-            debug_assert!(self.port_waiting[c].last().is_none_or(|&l| l < seq));
-            self.port_waiting[c].push(seq);
+            self.port_waiting[c].insert(slot);
         }
         if unresolved == 0 {
-            debug_assert!(self.ready.last().is_none_or(|&l| l < seq));
-            self.ready.push(seq);
+            self.ready.insert(slot);
         }
         self.n_waiting += 1;
     }
 
-    /// Marks the entry at `idx` `Done` and wakes its consumers: each loses
-    /// one unresolved producer, and those left with none join the ready
-    /// list in program order.
-    fn mark_done(&mut self, idx: usize) {
-        let front = self.rob.front().expect("entry is in flight").seq;
-        let entry = &mut self.rob[idx];
+    /// Marks the entry in `slot` `Done` and wakes its consumers: each
+    /// loses one unresolved producer, and those left with none join the
+    /// ready set.
+    fn mark_done(&mut self, slot: usize) {
+        let entry = &mut self.rob[slot];
         entry.state = EntryState::Done;
         let mut node = std::mem::replace(&mut entry.wake_head, NO_WAKE);
         while node != NO_WAKE {
-            let seq = node >> 1;
-            let consumer = &mut self.rob[(seq - front) as usize];
+            let consumer_slot = usize::from(node >> 1);
+            let consumer = &mut self.rob[consumer_slot];
             debug_assert_eq!(consumer.state, EntryState::Waiting);
-            node = consumer.wake_next[(node & 1) as usize];
+            node = consumer.wake_next[usize::from(node & 1)];
             consumer.unresolved -= 1;
             if consumer.unresolved == 0 {
-                let pos = self.ready.partition_point(|&s| s < seq);
-                self.ready.insert(pos, seq);
+                self.ready.insert(consumer_slot);
             }
         }
     }
 
-    /// Marks the waiting entry at `idx` issued and drops it from its port
-    /// class list (the caller owns the ready list during issue).
-    fn mark_issued(&mut self, idx: usize, class: Option<usize>) {
-        let entry = &mut self.rob[idx];
-        entry.state = EntryState::Issued;
-        let seq = entry.seq;
+    /// Marks the waiting entry in `slot` issued and drops it from the
+    /// ready set and its port class set.
+    fn mark_issued(&mut self, slot: usize, class: Option<usize>) {
+        self.rob[slot].state = EntryState::Issued;
         self.n_waiting -= 1;
+        self.ready.remove(slot);
         if let Some(c) = class {
-            let list = &mut self.port_waiting[c];
-            let pos = list.binary_search(&seq).expect("issuing entry is waiting");
-            list.remove(pos);
+            self.port_waiting[c].remove(slot);
         }
     }
 
     /// Rebuilds the derived wakeup state — wake lists, unresolved counts,
-    /// the waiting count, ready and per-class lists — from the ROB entry
+    /// the waiting count, ready and per-class sets — from the ROB entry
     /// states, exactly as dispatch and completion would have left it.
     fn rebuild_wakeup(&mut self) {
         self.n_waiting = 0;
         self.ready.clear();
-        self.port_waiting.iter_mut().for_each(Vec::clear);
-        for idx in 0..self.rob.len() {
-            if self.rob[idx].state == EntryState::Waiting {
-                self.register_waiting(self.rob[idx].seq);
+        self.port_waiting.iter_mut().for_each(SlotSet::clear);
+        let front = self.front_seq();
+        for k in 0..self.rob.len() {
+            let seq = front + k as u64;
+            if self.rob[self.slot(seq)].state == EntryState::Waiting {
+                self.register_waiting(seq);
             }
         }
     }
 
-    /// Debug check of the wakeup bookkeeping: the ready list is the
+    /// Debug check of the wakeup bookkeeping: the ready set is the
     /// waiting entries whose producers are all `Done` or retired, the
-    /// per-class lists partition the port-bound waiting entries by port
+    /// per-class sets partition the port-bound waiting entries by port
     /// class, and `n_waiting` counts the waiting entries — on an in-order
     /// core, the youngest ones. One allocation-free pass over the ROB, as
     /// it runs after every issue pass of every debug-build test.
     #[cfg(debug_assertions)]
     fn assert_wakeup_invariants(&self, in_order: bool) {
-        let front = self.rob.front().map_or(0, |e| e.seq);
+        let front = self.front_seq();
         let (mut waiting, mut ready, mut class_len) = (0, 0, [0; PORT_CLASSES]);
-        for e in &self.rob {
+        for (seq, e) in self.entries() {
+            let slot = self.slot(seq);
             if e.state != EntryState::Waiting {
-                debug_assert!(!in_order || waiting == 0, "in-order entry {} issued early", e.seq);
+                debug_assert!(!in_order || waiting == 0, "in-order entry {seq} issued early");
                 continue;
             }
             waiting += 1;
             let done = |dist: u8| {
-                let p = e.seq.checked_sub(u64::from(dist));
+                let p = seq.checked_sub(u64::from(dist));
                 dist == 0
                     || p.is_none_or(|p| {
-                        p < front || self.rob[(p - front) as usize].state == EntryState::Done
+                        p < front || self.rob[self.slot(p)].state == EntryState::Done
                     })
             };
-            if done(e.op.dep1) && done(e.op.dep2) {
-                let list = &self.ready;
-                debug_assert_eq!(list.get(ready), Some(&e.seq), "ready list {list:?}");
-                ready += 1;
-            }
-            if let Some(c) = port_class(e.op.kind) {
-                let list = &self.port_waiting[c];
-                debug_assert_eq!(list.get(class_len[c]), Some(&e.seq), "class {c} list {list:?}");
-                class_len[c] += 1;
+            let is_ready = done(e.op.dep1) && done(e.op.dep2);
+            debug_assert_eq!(self.ready.contains(slot), is_ready, "ready bit of entry {seq}");
+            ready += usize::from(is_ready);
+            for (c, set) in self.port_waiting.iter().enumerate() {
+                let member = port_class(e.op.kind) == Some(c);
+                debug_assert_eq!(set.contains(slot), member, "class {c} bit of entry {seq}");
+                class_len[c] += usize::from(member);
             }
         }
-        debug_assert_eq!(ready, self.ready.len(), "ready list {:?}", self.ready);
-        for (c, list) in self.port_waiting.iter().enumerate() {
-            debug_assert_eq!(class_len[c], list.len(), "class {c} list {list:?}");
+        debug_assert_eq!(ready, self.ready.len(), "stray ready bits");
+        for (c, set) in self.port_waiting.iter().enumerate() {
+            debug_assert_eq!(class_len[c], set.len(), "stray class {c} bits");
         }
         debug_assert_eq!(waiting, self.n_waiting);
     }
@@ -508,7 +716,9 @@ pub struct OooCore {
     stores_in_rob: usize,
     outstanding_offcore_loads: u32,
     store_drain: VecDeque<u64>,
-    completion_heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// In-flight completions as packed keys (see [`completion_key`]),
+    /// earliest `done_at` first.
+    completion_heap: BinaryHeap<Reverse<u64>>,
     ready_dirty: bool,
     /// Shared gshare predictor (as on real SMT cores), when enabled.
     gshare: Option<Gshare>,
@@ -558,7 +768,7 @@ impl OooCore {
     /// Panics if all `smt_threads` contexts are already occupied.
     pub fn attach(&mut self, source: Box<dyn TraceSource>) {
         assert!(self.threads.len() < self.cfg.smt_threads, "all hardware contexts occupied");
-        self.threads.push(Thread::new(source));
+        self.threads.push(Thread::new(source, &self.cfg));
     }
 
     /// The configuration in effect.
@@ -651,7 +861,7 @@ impl OooCore {
             let thread = &mut self.threads[tid];
             thread.n_waiting = 0;
             thread.ready.clear();
-            thread.port_waiting.iter_mut().for_each(Vec::clear);
+            thread.port_waiting.iter_mut().for_each(SlotSet::clear);
             thread.flush_pending = false;
         }
         self.completion_heap.clear();
@@ -877,23 +1087,19 @@ impl OooCore {
 
     // ------------------------------------------------------------------
 
+    /// Marks every ripe completion `Done`. Their order among equal
+    /// `done_at` cannot show: each sets a ready bit, decrements a counter
+    /// or raises `fetch_stall_until` to the same `now + penalty`.
     fn complete(&mut self, now: u64) {
-        while let Some(&Reverse((done_at, tid, seq))) = self.completion_heap.peek() {
+        while let Some(&Reverse(key)) = self.completion_heap.peek() {
+            let (done_at, tid, slot) = split_key(key);
             if done_at > now {
                 break;
             }
             self.completion_heap.pop();
             let thread = &mut self.threads[tid];
-            let front_seq = match thread.rob.front() {
-                Some(e) => e.seq,
-                None => continue,
-            };
-            if seq < front_seq {
-                continue; // already retired (cannot normally happen)
-            }
-            let idx = (seq - front_seq) as usize;
-            thread.mark_done(idx);
-            let entry = &thread.rob[idx];
+            thread.mark_done(slot);
+            let entry = &thread.rob[slot];
             if entry.offcore_load {
                 self.outstanding_offcore_loads -= 1;
             }
@@ -1043,7 +1249,7 @@ impl OooCore {
                 if op.is_store() {
                     self.stores_in_rob += 1;
                 }
-                thread.rob.push_back(RobEntry::new(op, seq, EntryState::Waiting, false));
+                thread.rob.push_back(RobEntry::new(op, EntryState::Waiting, false));
                 thread.register_waiting(seq);
                 self.rs_used += 1;
                 budget -= 1;
@@ -1057,7 +1263,7 @@ impl OooCore {
     }
 
     /// Issues up to `width` ready ops, threads in rotation from `now %
-    /// threads`, each thread's ready list in program order. The outcome —
+    /// threads`, each thread's ready set in program order. The outcome —
     /// which ops issue and the `ready_dirty` it leaves — is that of a scan
     /// of every waiting entry in the same order that checks an entry's
     /// port before its operands.
@@ -1067,9 +1273,9 @@ impl OooCore {
         }
         let mut budget = self.cfg.width;
         let mut ports = [self.cfg.mem_ports, self.cfg.fp_ports, 1];
-        // Scan position (rotation slot, seq) of the op that took each
-        // class's last port.
-        let mut port_spent_at: [Option<(usize, u64)>; PORT_CLASSES] = [None; PORT_CLASSES];
+        // Scan position (rotation slot, program-order position) of the op
+        // that took each class's last port.
+        let mut port_spent_at: [Option<(usize, usize)>; PORT_CLASSES] = [None; PORT_CLASSES];
         // Entries blocked on ports (or left unexamined when the budget
         // runs out) must be retried next cycle; entries blocked on
         // dependencies or MSHRs wake up via the completion path setting
@@ -1083,35 +1289,33 @@ impl OooCore {
                 break;
             }
             let tid = (start + k) % n;
-            // Walk this thread's ready list (program order), compacting
-            // out the entries that issue.
-            let mut ready = std::mem::take(&mut self.threads[tid].ready);
-            let mut kept = 0;
-            for r in 0..ready.len() {
-                let seq = ready[r];
-                let thread = &mut self.threads[tid];
-                let idx = thread.rob_idx(seq);
-                debug_assert_eq!(thread.rob[idx].state, EntryState::Waiting);
-                // In-order issue stops at the first entry that does not
-                // issue, and never passes an older entry still waiting on
-                // operands.
-                let oldest_waiting = thread.rob.len() - thread.n_waiting;
-                let blocked_in_order = self.cfg.in_order && (kept > 0 || idx != oldest_waiting);
-                if budget == 0 || blocked_in_order {
-                    ready[kept] = seq;
-                    kept += 1;
-                    continue;
+            let thread = &mut self.threads[tid];
+            let (head, cap) = (thread.rob.head, thread.rob.capacity());
+            // Walk this thread's ready set in program order. Issuing an
+            // entry clears its bit, behind the cursor.
+            let mut ord = 0;
+            while let Some(slot) = thread.ready.next_in_order(head, cap, ord) {
+                if budget == 0 {
+                    break;
                 }
-                let op = thread.rob[idx].op;
+                ord = thread.ord(slot) + 1;
+                debug_assert_eq!(thread.rob[slot].state, EntryState::Waiting);
+                let op = thread.rob[slot].op;
                 let class = port_class(op.kind);
                 let port_free = class.is_none_or(|c| ports[c] > 0);
                 // Conservative MSHR gate: no loads issue while full
                 // (re-checked per issue, since loads issued earlier this
                 // cycle may have taken the last slots).
                 let mshr_free = !op.is_load() || self.outstanding_offcore_loads < self.cfg.mshrs;
-                if !(port_free && mshr_free) {
-                    ready[kept] = seq;
-                    kept += 1;
+                if self.cfg.in_order {
+                    // In-order issue stops at the first entry that does
+                    // not issue, and never passes an older entry still
+                    // waiting on operands.
+                    let oldest_waiting = thread.slot(thread.next_seq - thread.n_waiting as u64);
+                    if slot != oldest_waiting || !(port_free && mshr_free) {
+                        break;
+                    }
+                } else if !(port_free && mshr_free) {
                     continue;
                 }
 
@@ -1133,7 +1337,7 @@ impl OooCore {
                         let out =
                             mem.data_access(core_id, op.privilege, mref.addr, false, op.pc, now);
                         if out.offcore {
-                            thread.rob[idx].offcore_load = true;
+                            thread.rob[slot].offcore_load = true;
                             self.outstanding_offcore_loads += 1;
                         }
                         now + out.latency as u64
@@ -1156,22 +1360,19 @@ impl OooCore {
                 if let Some(c) = class {
                     ports[c] -= 1;
                     if ports[c] == 0 {
-                        port_spent_at[c] = Some((k, seq));
+                        port_spent_at[c] = Some((k, ord - 1));
                     }
                 }
-                thread.mark_issued(idx, class);
-                self.completion_heap.push(Reverse((done_at, tid, seq)));
+                thread.mark_issued(slot, class);
+                self.completion_heap.push(Reverse(completion_key(done_at, tid, slot)));
                 self.rs_used -= 1;
                 budget -= 1;
             }
-            ready.truncate(kept);
-            let thread = &mut self.threads[tid];
-            thread.ready = ready;
             // In-order, the scan stops at the oldest waiting entry: it is
             // port-blocked if its class ran out, whether or not it is ready.
             if self.cfg.in_order && budget > 0 && thread.n_waiting > 0 {
-                let head = &thread.rob[thread.rob.len() - thread.n_waiting];
-                structural_block |= port_class(head.op.kind).is_some_and(|c| ports[c] == 0);
+                let oldest = &thread.rob[thread.slot(thread.next_seq - thread.n_waiting as u64)];
+                structural_block |= port_class(oldest.op.kind).is_some_and(|c| ports[c] == 0);
             }
         }
         // Out of order with budget left, the scan port-checked every
@@ -1180,10 +1381,11 @@ impl OooCore {
         // leaves `ready_dirty` set whenever anything still waits.)
         if !self.cfg.in_order && budget > 0 {
             structural_block = port_spent_at.iter().enumerate().any(|(c, spent)| {
-                let Some((spent_k, spent_seq)) = *spent else { return false };
+                let Some((spent_k, spent_ord)) = *spent else { return false };
                 (spent_k..n).any(|k| {
-                    let youngest = self.threads[(start + k) % n].port_waiting[c].last();
-                    youngest.is_some_and(|&s| k > spent_k || s > spent_seq)
+                    let t = &self.threads[(start + k) % n];
+                    let youngest = t.port_waiting[c].youngest(t.rob.head, t.rob.capacity());
+                    youngest.is_some_and(|s| k > spent_k || t.ord(s) > spent_ord)
                 })
             });
         }
@@ -1300,7 +1502,8 @@ impl OooCore {
             return now;
         }
         let mut next = u64::MAX;
-        if let Some(&Reverse((done_at, _, _))) = self.completion_heap.peek() {
+        if let Some(&Reverse(key)) = self.completion_heap.peek() {
+            let (done_at, _, _) = split_key(key);
             if done_at <= now {
                 return now;
             }
@@ -1439,11 +1642,19 @@ impl OooCore {
         for &t in &self.store_drain {
             e.u64(t);
         }
-        // BinaryHeap iteration order is unspecified; serialize sorted so
-        // identical states produce identical bytes.
-        let heap: Vec<_> = self.completion_heap.clone().into_sorted_vec();
+        // Completions are written as `(done_at, tid, seq)` in descending
+        // order: heap iteration order is unspecified, and the bytes stay
+        // those of a heap that held the unpacked tuples.
+        let mut heap: Vec<(u64, usize, u64)> = (self.completion_heap.iter())
+            .map(|&Reverse(key)| {
+                let (done_at, tid, slot) = split_key(key);
+                let t = &self.threads[tid];
+                (done_at, tid, t.front_seq() + t.ord(slot) as u64)
+            })
+            .collect();
+        heap.sort_unstable_by(|a, b| b.cmp(a));
         e.len(heap.len());
-        for Reverse((done_at, tid, seq)) in heap {
+        for (done_at, tid, seq) in heap {
             e.u64(done_at);
             e.len(tid);
             e.u64(seq);
@@ -1474,13 +1685,25 @@ impl OooCore {
     /// consumes at most one fetch or commit width of ops a cycle, plus
     /// the block it has buffered, which bounds the ops its source is
     /// fast-forwarded by.
+    ///
+    /// Beyond decoding each field, restore checks that the structures
+    /// agree as stepping would have left them: every completion names a
+    /// distinct in-flight `Issued` entry and every such entry has one,
+    /// and the occupancy counters match the ROB contents. A snapshot that
+    /// fails a check is an error, never a core that panics once stepped.
     pub fn restore_snap(
         &mut self,
         d: &mut cs_trace::snap::Dec<'_>,
         cycle: u64,
     ) -> Result<(), cs_trace::snap::SnapError> {
         use cs_trace::snap::SnapError;
+        if cycle > MAX_DONE_AT {
+            return Err(mismatch_err("cycle count past the completion-key range"));
+        }
         self.stats = CoreStats::decode_snap(d)?;
+        if self.stats.per_thread_committed.len() != self.cfg.smt_threads {
+            return Err(mismatch_err("per-thread counters disagree with the core's thread count"));
+        }
         self.rs_used = d.len()?;
         self.loads_in_rob = d.len()?;
         self.stores_in_rob = d.len()?;
@@ -1490,13 +1713,12 @@ impl OooCore {
         for _ in 0..n {
             self.store_drain.push_back(d.u64()?);
         }
+        // Completions name their entries by seq; they are checked against
+        // the threads, which follow them in the bytes.
         let n = d.len()?;
-        self.completion_heap.clear();
+        let mut completions = Vec::new();
         for _ in 0..n {
-            let done_at = d.u64()?;
-            let tid = d.len()?;
-            let seq = d.u64()?;
-            self.completion_heap.push(Reverse((done_at, tid, seq)));
+            completions.push((d.u64()?, d.len()?, d.u64()?));
         }
         self.ready_dirty = d.bool()?;
         self.fidelity = match d.u8()? {
@@ -1521,11 +1743,72 @@ impl OooCore {
         }
         let per_cycle = u64::from(self.cfg.width.max(self.cfg.fetch_width));
         let max_pulled = cycle.saturating_mul(per_cycle).saturating_add(FETCH_BLOCK as u64);
+        let (rob_cap, fetch_cap) = (self.cfg.rob_per_thread(), self.cfg.fetch_buffer);
         for t in &mut self.threads {
-            t.restore_snap(d, max_pulled)?;
+            t.restore_snap(d, max_pulled, rob_cap, fetch_cap)?;
+        }
+        self.completion_heap.clear();
+        let mut claimed = [SlotSet::default(); 2];
+        for (done_at, tid, seq) in completions {
+            let Some(t) = self.threads.get(tid) else {
+                return Err(mismatch_err("completion names no attached thread"));
+            };
+            if done_at > MAX_DONE_AT {
+                return Err(mismatch_err("completion cycle past the completion-key range"));
+            }
+            if !(t.front_seq()..t.next_seq).contains(&seq) {
+                return Err(mismatch_err("completion names an entry not in flight"));
+            }
+            let slot = t.slot(seq);
+            if t.rob[slot].state != EntryState::Issued || claimed[tid].contains(slot) {
+                return Err(mismatch_err("completion names an entry not issued, or twice"));
+            }
+            claimed[tid].insert(slot);
+            self.completion_heap.push(Reverse(completion_key(done_at, tid, slot)));
+        }
+        self.check_occupancy(&claimed)
+    }
+
+    /// The restore checks of the occupancy counters: each must count what
+    /// the restored ROBs hold, as dispatch, issue, completion and commit
+    /// keep it. `claimed` holds the slots named by completions.
+    fn check_occupancy(&self, claimed: &[SlotSet; 2]) -> Result<(), cs_trace::snap::SnapError> {
+        let (mut waiting, mut loads, mut stores, mut offcore) = (0, 0, 0, 0u64);
+        for (tid, t) in self.threads.iter().enumerate() {
+            let mut issued = 0;
+            for (seq, e) in t.entries() {
+                waiting += usize::from(e.state == EntryState::Waiting);
+                loads += usize::from(e.op.is_load());
+                stores += usize::from(e.op.is_store());
+                let in_flight = e.state == EntryState::Issued;
+                issued += usize::from(in_flight);
+                if e.offcore_load && !(e.op.is_load() && e.state != EntryState::Waiting) {
+                    return Err(mismatch_err("off-core flag on an entry that issued no load"));
+                }
+                offcore += u64::from(e.offcore_load && in_flight);
+                // In-order cores issue in program order: every waiting
+                // entry is younger than every issued one.
+                let younger = seq >= t.next_seq - t.n_waiting as u64;
+                if self.cfg.in_order && (e.state == EntryState::Waiting) != younger {
+                    return Err(mismatch_err("in-order core issued out of program order"));
+                }
+            }
+            if issued != claimed[tid].len() {
+                return Err(mismatch_err("an issued entry has no completion"));
+            }
+        }
+        let counts = [self.rs_used, self.loads_in_rob, self.stores_in_rob];
+        if counts != [waiting, loads, stores]
+            || u64::from(self.outstanding_offcore_loads) != offcore
+        {
+            return Err(mismatch_err("occupancy counters disagree with the ROB"));
         }
         Ok(())
     }
+}
+
+fn mismatch_err(what: &str) -> cs_trace::snap::SnapError {
+    cs_trace::snap::SnapError::Mismatch(what.into())
 }
 
 #[cfg(test)]
@@ -1976,6 +2259,69 @@ mod tests {
             assert!(matches!(got, Err(SnapError::Mismatch(_))), "{bad}: {got:?}");
         }
         mk().restore_snap(&mut Dec::new(&e.buf), 100).expect("the intact bytes restore");
+    }
+
+    #[test]
+    fn restore_rejects_structures_that_disagree() {
+        use cs_trace::snap::{Dec, Enc, SnapError};
+        let mk = |cfg: CoreConfig| {
+            let ops = (0..4000u64).map(|i| match i % 4 {
+                0 => MicroOp::load(0x40_0000, 0x6000_0000 + i * 577 * 64, 8),
+                _ => MicroOp::alu(0x40_0004 + 4 * (i % 3)).with_deps(i % 4, 0),
+            });
+            let mut c = OooCore::new(cfg);
+            c.attach(Box::new(VecSource::new(ops.collect())));
+            c
+        };
+        let mut live = mk(CoreConfig::x5670());
+        let mut m = mem();
+        for now in 0..600 {
+            live.step(0, &mut m, now);
+        }
+        let t = &live.threads[0];
+        let (front, next) = (t.front_seq(), t.next_seq);
+        assert!(front > 0 && t.rob.len() > 32 && t.fetch_buf.len() > 4);
+        assert!(live.completion_heap.len() >= 2, "completions in flight");
+        let not_issued = t.entries().find(|(_, e)| e.state != EntryState::Issued).expect("one").0;
+        let mut e = Enc::new();
+        live.encode_snap(&mut e);
+        let bytes = e.buf;
+        let restore = |cfg: CoreConfig, b: &[u8]| mk(cfg).restore_snap(&mut Dec::new(b), 600);
+        restore(CoreConfig::x5670(), &bytes).expect("the intact bytes restore");
+
+        // The stats open the core's bytes; then three counts, the off-core
+        // load count, the store-drain list and the completion list of
+        // (done_at, tid, seq). The one thread's bytes end the core's, and
+        // close with next_seq, three u64s, three flag bytes, the waiting
+        // list and the (empty) held branch.
+        let mut stats = Enc::new();
+        live.stats.encode_snap(&mut stats);
+        let rs_used = stats.buf.len();
+        let completion = rs_used + 3 * 8 + 4 + 8 + 8 * live.store_drain.len() + 8;
+        let next_seq = bytes.len() - (8 + 3 * 8 + 3 + 8 + 8 * t.n_waiting + 1);
+        assert_eq!(bytes[next_seq..next_seq + 8], next.to_le_bytes());
+        let put = |at: usize, v: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        let first_seq = u64::from_le_bytes(bytes[completion + 16..][..8].try_into().expect("8"));
+        let x5670 = CoreConfig::x5670();
+        let cases = [
+            ("completion names thread 1", x5670, put(completion + 8, 1)),
+            ("completion past next_seq", x5670, put(completion + 16, next)),
+            ("completion before the head", x5670, put(completion + 16, front - 1)),
+            ("completion of an entry not issued", x5670, put(completion + 16, not_issued)),
+            ("two completions of one entry", x5670, put(completion + 24 + 16, first_seq)),
+            ("ROB ends short of next_seq", x5670, put(next_seq, next + 1)),
+            ("reservation count off by one", x5670, put(rs_used, live.rs_used as u64 + 1)),
+            ("ROB past its capacity", CoreConfig { rob_entries: 32, ..x5670 }, bytes.clone()),
+            ("fetch buffer past its capacity", CoreConfig { fetch_buffer: 4, ..x5670 }, bytes),
+        ];
+        for (what, cfg, b) in cases {
+            let got = restore(cfg, &b);
+            assert!(matches!(got, Err(SnapError::Mismatch(_))), "{what}: {got:?}");
+        }
     }
 
     #[test]

@@ -108,6 +108,21 @@ fn smt(policy: SmtFetchPolicy) -> CoreConfig {
     CoreConfig { smt_fetch: policy, ..CoreConfig::x5670_smt() }
 }
 
+/// The `trends` experiment's next-generation core: 6-wide, a 256-entry
+/// ROB, every slot a thread can address.
+fn future() -> CoreConfig {
+    CoreConfig {
+        width: 6,
+        fetch_width: 6,
+        rob_entries: 256,
+        load_queue: 72,
+        store_queue: 48,
+        reservation_stations: 60,
+        mshrs: 20,
+        ..CoreConfig::x5670()
+    }
+}
+
 fn cases() -> Vec<(&'static str, CoreConfig)> {
     vec![
         ("x5670", CoreConfig::x5670()),
@@ -116,14 +131,16 @@ fn cases() -> Vec<(&'static str, CoreConfig)> {
         ("narrow2", CoreConfig::narrow2()),
         ("in_order2", CoreConfig::in_order2()),
         ("gshare", gshare()),
+        ("future6_rob256", future()),
     ]
 }
 
 /// `fnv1a64` of the chip snapshot after each stride, per case. Recorded
-/// with an issue stage that scanned the whole waiting list every pass;
-/// wakeup-driven issue must reproduce it bit for bit.
+/// with an issue stage that scanned the whole waiting list every pass
+/// (`future6_rob256`: with sorted ready lists and a tuple completion
+/// heap); the slot-set issue stage must reproduce it bit for bit.
 #[rustfmt::skip]
-const PINS: [(&str, [u64; STRIDES]); 6] = [
+const PINS: [(&str, [u64; STRIDES]); 7] = [
     (
         "x5670",
         [
@@ -178,6 +195,15 @@ const PINS: [(&str, [u64; STRIDES]); 6] = [
             0x1fd4c63dbf619b89, 0x1c003fe275cf0164, 0x10a63e1514a98d57, 0x535e906869461c8c,
         ],
     ),
+    (
+        "future6_rob256",
+        [
+            0x45cb876030d7ee67, 0xc3e0fe6922e81fca, 0x37a0430bf6c542ef, 0xeb6e9eddfd68cc11,
+            0x261654d7d16aedd5, 0x5a00f395824ada27, 0x5ae98cc70730365e, 0x294e44b4ba809d95,
+            0xc9617a9fbcf1ff58, 0x32cef80116002edf, 0xf0c87e345701a2b6, 0xb93b630fec4d237b,
+            0xeab8f556be7d4fba, 0x921675faad205d7f, 0x6c9ac94cdfb9d88b, 0x11b873380a6e2a47,
+        ],
+    ),
 ];
 
 #[test]
@@ -201,11 +227,11 @@ fn mid_window_restore_continues_on_the_pinned_hashes() {
     let pins = PINS.iter().find(|(n, _)| *n == name).expect("case pinned").1;
     // A cycle inside a load-chain phase where both threads hold woken ops
     // that the MSHR gate keeps from issuing: the restore must rebuild
-    // non-empty ready lists.
+    // non-empty ready sets.
     let snap_at = 7 * STRIDE + 648;
     let mut live = pin_chip(cfg);
     live.run_cycles(snap_at);
-    assert!(live.cores()[0].ready_counts().iter().all(|&r| r > 0), "ready lists empty");
+    assert!(live.cores()[0].ready_counts().iter().all(|&r| r > 0), "ready sets empty");
     let mut e = Enc::new();
     live.encode_snap(&mut e);
     let mut restored = pin_chip(cfg);
