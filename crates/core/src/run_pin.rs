@@ -8,6 +8,11 @@
 //! hashes. A refactor of the phase loop, the machine build or the result
 //! assembly that moves one counter fails here in a debug `cargo test`,
 //! rather than in a release-only campaign diff.
+//!
+//! The killed-and-resumed case also pins the `fnv1a64` of every snapshot
+//! payload it loads (phase marker, sampling accumulator and chip). A codec
+//! change that moves a byte of the checkpoint layout fails here even when
+//! its decoder moves with it and the final result stays the same.
 
 use crate::checkpoint::{
     load_envelope, unit_file, unit_key, with_checkpointing, CheckpointCtl,
@@ -15,7 +20,8 @@ use crate::checkpoint::{
 use crate::errors::HarnessError;
 use crate::harness::{run, run_colocated, RunConfig, RunResult};
 use crate::registry::Benchmark;
-use cs_trace::snap::fnv1a64;
+use crate::sampling::Phase;
+use cs_trace::snap::{fnv1a64, Dec};
 
 fn tiny() -> RunConfig {
     RunConfig {
@@ -37,9 +43,10 @@ fn result_hash(r: &RunResult) -> u64 {
 
 /// Runs the sampled three-window shape under a checkpoint control that
 /// interrupts it at increasing cycles, resuming from each saved snapshot,
-/// and returns the final result. Asserts that at least one interrupt
-/// landed inside the sampling phase (phase tag 3).
-fn interrupted_mid_sample() -> RunResult {
+/// and returns the final result with the digest of every payload loaded.
+/// Asserts that at least one interrupt landed inside the sampling phase
+/// with a completed window in its accumulator.
+fn interrupted_mid_sample() -> (RunResult, Vec<u64>) {
     let bench = Benchmark::mcf();
     let cfg = sampled(10_000);
     let dir = std::env::temp_dir().join(format!("cs-run-pin-{}", std::process::id()));
@@ -47,6 +54,7 @@ fn interrupted_mid_sample() -> RunResult {
     let key = unit_key("run-pin", bench.name(), &cfg);
     let path = dir.join(unit_file(key));
     let mut mid_sample = 0;
+    let mut payloads = Vec::new();
     let mut k = 60_000u64;
     let result = loop {
         let mut ctl = CheckpointCtl::new(dir.clone(), "run-pin");
@@ -55,7 +63,11 @@ fn interrupted_mid_sample() -> RunResult {
         match with_checkpointing(ctl, || run(&bench, &cfg)) {
             Err(HarnessError::Interrupted) => {
                 let payload = load_envelope(&path, key).expect("interrupt saves a snapshot");
-                mid_sample += usize::from(payload[0] == 3);
+                payloads.push(fnv1a64(&payload));
+                let phase = Phase::decode_snap(&mut Dec::new(&payload)).expect("phase decodes");
+                if let Phase::Sample { acc, .. } = phase {
+                    mid_sample += usize::from(!acc.samples.is_empty());
+                }
                 k += 60_000;
             }
             Ok(r) => break r,
@@ -64,11 +76,11 @@ fn interrupted_mid_sample() -> RunResult {
         assert!(k < 64 * 60_000, "run never completed");
     };
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(mid_sample >= 1, "no interrupt landed inside the sampling phase");
-    result
+    assert!(mid_sample >= 1, "no interrupt landed after a completed sampling window");
+    (result, payloads)
 }
 
-fn cases() -> Vec<(&'static str, RunResult)> {
+fn cases() -> (Vec<(&'static str, RunResult)>, Vec<u64>) {
     let mcf = Benchmark::mcf();
     let ok = |r: Result<RunResult, HarnessError>| r.expect("pinned shapes are valid");
     let pair = [Benchmark::mcf(), Benchmark::data_serving()];
@@ -78,7 +90,8 @@ fn cases() -> Vec<(&'static str, RunResult)> {
         workers: 1,
         ..tiny()
     };
-    vec![
+    let (resumed, payloads) = interrupted_mid_sample();
+    let cases = vec![
         ("solo", ok(run(&mcf, &tiny()))),
         (
             "smt_polluters",
@@ -87,8 +100,9 @@ fn cases() -> Vec<(&'static str, RunResult)> {
         ("sampled", ok(run(&mcf, &sampled(10_000)))),
         ("sampled_no_rewarm", ok(run(&mcf, &sampled(0)))),
         ("colocated_qos", ok(run_colocated(&pair, &qos))),
-        ("sampled_resumed", interrupted_mid_sample()),
-    ]
+        ("sampled_resumed", resumed),
+    ];
+    (cases, payloads)
 }
 
 /// `fnv1a64` of each case's `format!("{:?}", RunResult)`. Recorded before
@@ -104,9 +118,26 @@ const PINS: [(&str, u64); 6] = [
     ("sampled_resumed", 0x1b4e_5aef_7dda_024b),
 ];
 
+/// `fnv1a64` of each payload the killed-and-resumed case loads, in load
+/// order. A change that moves one byte of the snapshot layout must bump
+/// `checkpoint::VERSION` and re-record them.
+const PAYLOAD_PINS: [u64; 9] = [
+    0x0652_04d0_830e_4edc,
+    0xf0da_2f2d_a362_1603,
+    0xf582_8dca_ff9d_c8de,
+    0x0152_3e7c_efe7_0db6,
+    0x26af_98f6_8e1c_6d08,
+    0x383c_c62b_9768_a8e5,
+    0xa0fc_46fe_4972_47f6,
+    0x2a1f_397a_9069_42cc,
+    0x00f6_0c1a_5ab8_4107,
+];
+
 #[test]
 fn run_results_match_pinned_hashes() {
+    let (cases, payloads) = cases();
     let got: Vec<(&str, u64)> =
-        cases().iter().map(|(name, r)| (*name, result_hash(r))).collect();
+        cases.iter().map(|(name, r)| (*name, result_hash(r))).collect();
     assert_eq!(got, PINS, "{got:#018x?}");
+    assert_eq!(payloads, PAYLOAD_PINS, "{payloads:#018x?}");
 }
