@@ -375,26 +375,28 @@ impl RunStatus {
     }
 }
 
-/// Per-window measurements of one sampled run (empty when sampling is
-/// disabled). Cycle buckets are summed across the worker cores, so the
-/// breakdown partition invariant is
-/// `committing[0] + committing[1] + stalled[0] + stalled[1] ==
-/// cycles * n_workers`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct WindowSample {
-    /// Cycles the detailed measurement window spanned.
-    pub cycles: u64,
-    /// Instructions the workers committed in the window.
-    pub instructions: u64,
-    /// Committing cycles summed over worker cores, `[app, os]`.
-    pub committing: [u64; 2],
-    /// Stalled cycles summed over worker cores, `[app, os]`.
-    pub stalled: [u64; 2],
-    /// Overlapped memory cycles summed over worker cores.
-    pub memory_cycles: u64,
-    /// Application requests completed during the window (0 when the
-    /// workload has no request meter).
-    pub requests: u64,
+cs_trace::snap_struct! {
+    /// Per-window measurements of one sampled run (empty when sampling is
+    /// disabled). Cycle buckets are summed across the worker cores, so the
+    /// breakdown partition invariant is
+    /// `committing[0] + committing[1] + stalled[0] + stalled[1] ==
+    /// cycles * n_workers`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+    pub struct WindowSample {
+        /// Cycles the detailed measurement window spanned.
+        pub cycles: u64,
+        /// Instructions the workers committed in the window.
+        pub instructions: u64,
+        /// Committing cycles summed over worker cores, `[app, os]`.
+        pub committing: [u64; 2],
+        /// Stalled cycles summed over worker cores, `[app, os]`.
+        pub stalled: [u64; 2],
+        /// Overlapped memory cycles summed over worker cores.
+        pub memory_cycles: u64,
+        /// Application requests completed during the window (0 when the
+        /// workload has no request meter).
+        pub requests: u64,
+    }
 }
 
 impl WindowSample {
@@ -1233,6 +1235,7 @@ pub fn run_colocated_strict(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_trace::snap::Codec;
 
     fn tiny() -> RunConfig {
         RunConfig {

@@ -10,7 +10,7 @@
 
 use crate::harness::{RunConfig, WindowSample};
 use cs_memsys::stats::CoreMemStats;
-use cs_trace::snap::{Dec, Enc, SnapError};
+use cs_trace::snap::{Codec, Dec, Enc, Merge, SnapError};
 use cs_uarch::{Chip, CoreStats, WatchedWindow, WindowOutcome};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,20 +40,23 @@ pub(crate) enum SampleSub {
     },
 }
 
-/// The statistics a run result reports: pipeline and memory counters of
-/// the worker cores, memory counters of the polluter cores, and the DRAM
-/// totals. An unsampled run reads one group off the chip at the end; a
-/// sampled run folds one group per measurement window.
-#[derive(Default)]
-pub(crate) struct StatsGroup {
-    /// Worker-core pipeline statistics.
-    pub(crate) cores: Vec<CoreStats>,
-    /// Worker-core memory statistics.
-    pub(crate) mem: Vec<CoreMemStats>,
-    /// Polluter-core memory statistics.
-    pub(crate) polluter_mem: Vec<CoreMemStats>,
-    /// DRAM totals.
-    pub(crate) dram: cs_memsys::dram::DramStats,
+cs_trace::snap_struct! {
+    merge;
+    /// The statistics a run result reports: pipeline and memory counters of
+    /// the worker cores, memory counters of the polluter cores, and the DRAM
+    /// totals. An unsampled run reads one group off the chip at the end; a
+    /// sampled run folds one group per measurement window.
+    #[derive(Default)]
+    pub(crate) struct StatsGroup {
+        /// Worker-core pipeline statistics.
+        pub(crate) cores: Vec<CoreStats>,
+        /// Worker-core memory statistics.
+        pub(crate) mem: Vec<CoreMemStats>,
+        /// Polluter-core memory statistics.
+        pub(crate) polluter_mem: Vec<CoreMemStats>,
+        /// DRAM totals.
+        pub(crate) dram: cs_memsys::dram::DramStats,
+    }
 }
 
 impl StatsGroup {
@@ -67,43 +70,28 @@ impl StatsGroup {
             dram: chip.mem().dram_stats(),
         }
     }
-
-    /// Adds `other`'s counters to this group's, core by core.
-    fn absorb(&mut self, other: &Self) {
-        for (acc, new) in self.cores.iter_mut().zip(&other.cores) {
-            acc.absorb(new);
-        }
-        for (acc, new) in self.mem.iter_mut().zip(&other.mem) {
-            acc.merge_from(new);
-        }
-        for (acc, new) in self.polluter_mem.iter_mut().zip(&other.polluter_mem) {
-            acc.merge_from(new);
-        }
-        self.dram.reads += other.dram.reads;
-        self.dram.writes += other.dram.writes;
-        self.dram.bytes += other.dram.bytes;
-        self.dram.busy_cycles += other.dram.busy_cycles;
-    }
 }
 
-/// Running aggregate of a sampled run, carried (and checkpointed) across
-/// windows: merged worker/polluter statistics over the measurement windows
-/// completed so far, the per-window samples, and the main-warmup outcome
-/// needed for the final status.
-pub(crate) struct SampleAcc {
-    /// Outcome of the completed main warmup window.
-    pub(crate) warmup: WindowOutcome,
-    /// Request-meter total at statistics reset after main warmup.
-    pub(crate) requests_at_warmup: u64,
-    /// Statistics merged over completed windows (no cores until the first
-    /// window completes).
-    pub(crate) stats: StatsGroup,
-    /// One entry per completed measurement window.
-    pub(crate) samples: Vec<WindowSample>,
-    /// A fast-forward or re-warm span hit the cycle cap.
-    pub(crate) forward_truncated: bool,
-    /// A measurement window hit the cycle cap.
-    pub(crate) measure_truncated: bool,
+cs_trace::snap_struct! {
+    /// Running aggregate of a sampled run, carried (and checkpointed) across
+    /// windows: merged worker/polluter statistics over the measurement windows
+    /// completed so far, the per-window samples, and the main-warmup outcome
+    /// needed for the final status.
+    pub(crate) struct SampleAcc {
+        /// Outcome of the completed main warmup window.
+        pub(crate) warmup: WindowOutcome,
+        /// Request-meter total at statistics reset after main warmup.
+        pub(crate) requests_at_warmup: u64,
+        /// A fast-forward or re-warm span hit the cycle cap.
+        pub(crate) forward_truncated: bool,
+        /// A measurement window hit the cycle cap.
+        pub(crate) measure_truncated: bool,
+        /// Statistics merged over completed windows (no cores until the first
+        /// window completes).
+        pub(crate) stats: StatsGroup,
+        /// One entry per completed measurement window.
+        pub(crate) samples: Vec<WindowSample>,
+    }
 }
 
 impl SampleAcc {
@@ -111,10 +99,10 @@ impl SampleAcc {
         Self {
             warmup,
             requests_at_warmup,
-            stats: StatsGroup::default(),
-            samples: Vec::new(),
             forward_truncated: false,
             measure_truncated: false,
+            stats: StatsGroup::default(),
+            samples: Vec::new(),
         }
     }
 
@@ -142,94 +130,8 @@ impl SampleAcc {
         if self.stats.cores.is_empty() {
             self.stats = window;
         } else {
-            self.stats.absorb(&window);
+            self.stats.merge_from(&window);
         }
-    }
-
-    pub(crate) fn encode_snap(&self, e: &mut Enc) {
-        e.u64(self.warmup.cycles);
-        e.u64(self.warmup.committed);
-        e.bool(self.warmup.reached_target);
-        e.u64(self.requests_at_warmup);
-        e.bool(self.forward_truncated);
-        e.bool(self.measure_truncated);
-        let stats = &self.stats;
-        e.len(stats.cores.len());
-        for c in &stats.cores {
-            c.encode_snap(e);
-        }
-        for group in [&stats.mem, &stats.polluter_mem] {
-            e.len(group.len());
-            for m in group {
-                m.encode_snap(e);
-            }
-        }
-        e.u64(stats.dram.reads);
-        e.u64(stats.dram.writes);
-        e.u64(stats.dram.bytes);
-        e.u64(stats.dram.busy_cycles);
-        e.len(self.samples.len());
-        for s in &self.samples {
-            e.u64(s.cycles);
-            e.u64(s.instructions);
-            e.u64(s.committing[0]);
-            e.u64(s.committing[1]);
-            e.u64(s.stalled[0]);
-            e.u64(s.stalled[1]);
-            e.u64(s.memory_cycles);
-            e.u64(s.requests);
-        }
-    }
-
-    pub(crate) fn decode_snap(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let warmup = WindowOutcome {
-            cycles: d.u64()?,
-            committed: d.u64()?,
-            reached_target: d.bool()?,
-        };
-        let requests_at_warmup = d.u64()?;
-        let forward_truncated = d.bool()?;
-        let measure_truncated = d.bool()?;
-        let mut cores = Vec::new();
-        for _ in 0..d.len()? {
-            cores.push(CoreStats::decode_snap(d)?);
-        }
-        let mut mem_group = || -> Result<Vec<CoreMemStats>, SnapError> {
-            let mut group = Vec::new();
-            for _ in 0..d.len()? {
-                let mut m = CoreMemStats::default();
-                m.restore_snap(d)?;
-                group.push(m);
-            }
-            Ok(group)
-        };
-        let mem = mem_group()?;
-        let polluter_mem = mem_group()?;
-        let dram = cs_memsys::dram::DramStats {
-            reads: d.u64()?,
-            writes: d.u64()?,
-            bytes: d.u64()?,
-            busy_cycles: d.u64()?,
-        };
-        let mut samples = Vec::new();
-        for _ in 0..d.len()? {
-            samples.push(WindowSample {
-                cycles: d.u64()?,
-                instructions: d.u64()?,
-                committing: [d.u64()?, d.u64()?],
-                stalled: [d.u64()?, d.u64()?],
-                memory_cycles: d.u64()?,
-                requests: d.u64()?,
-            });
-        }
-        Ok(Self {
-            warmup,
-            requests_at_warmup,
-            stats: StatsGroup { cores, mem, polluter_mem, dram },
-            samples,
-            forward_truncated,
-            measure_truncated,
-        })
     }
 }
 
@@ -312,9 +214,7 @@ impl Phase {
             Phase::Measure { window, warmup, requests_at_warmup } => {
                 e.u8(2);
                 window.encode_snap(e);
-                e.u64(warmup.cycles);
-                e.u64(warmup.committed);
-                e.bool(warmup.reached_target);
+                warmup.encode_snap(e);
                 e.u64(*requests_at_warmup);
             }
             Phase::Sample { k, sub, acc } => {
@@ -346,13 +246,8 @@ impl Phase {
             1 => Ok(Phase::Warmup { window: WatchedWindow::decode_snap(d)? }),
             2 => {
                 let window = WatchedWindow::decode_snap(d)?;
-                let warmup = WindowOutcome {
-                    cycles: d.u64()?,
-                    committed: d.u64()?,
-                    reached_target: d.bool()?,
-                };
-                let requests_at_warmup = d.u64()?;
-                Ok(Phase::Measure { window, warmup, requests_at_warmup })
+                let warmup = WindowOutcome::decode_snap(d)?;
+                Ok(Phase::Measure { window, warmup, requests_at_warmup: d.u64()? })
             }
             3 => {
                 let k = d.len()?;

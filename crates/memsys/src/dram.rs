@@ -8,19 +8,23 @@
 //! bytes moved feed the Figure 7 bandwidth-utilization metric.
 
 use crate::config::DramConfig;
+use cs_trace::snap::Codec;
 use serde::Serialize;
 
-/// Aggregate DRAM statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct DramStats {
-    /// 64-byte read bursts served.
-    pub reads: u64,
-    /// 64-byte write (writeback) bursts served.
-    pub writes: u64,
-    /// Total bytes moved in either direction.
-    pub bytes: u64,
-    /// Sum over channels of cycles spent transferring data.
-    pub busy_cycles: u64,
+cs_trace::snap_struct! {
+    merge;
+    /// Aggregate DRAM statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct DramStats {
+        /// 64-byte read bursts served.
+        pub reads: u64,
+        /// 64-byte write (writeback) bursts served.
+        pub writes: u64,
+        /// Total bytes moved in either direction.
+        pub bytes: u64,
+        /// Sum over channels of cycles spent transferring data.
+        pub busy_cycles: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -112,10 +116,7 @@ impl Dram {
         for ch in &self.channels {
             e.u64(ch.next_free);
         }
-        e.u64(self.stats.reads);
-        e.u64(self.stats.writes);
-        e.u64(self.stats.bytes);
-        e.u64(self.stats.busy_cycles);
+        self.stats.encode_snap(e);
     }
 
     /// Restores state written by [`Dram::encode_snap`]; the subsystem must
@@ -135,10 +136,7 @@ impl Dram {
         for ch in &mut self.channels {
             ch.next_free = d.u64()?;
         }
-        self.stats.reads = d.u64()?;
-        self.stats.writes = d.u64()?;
-        self.stats.bytes = d.u64()?;
-        self.stats.busy_cycles = d.u64()?;
+        self.stats = DramStats::decode_snap(d)?;
         Ok(())
     }
 

@@ -10,6 +10,7 @@
 //! assert on the precise failure a plan provokes — and future studies can
 //! measure metric stability under controlled perturbation.
 
+use cs_trace::snap::Codec;
 use serde::Serialize;
 
 /// A seeded perturbation of the memory system.
@@ -54,13 +55,15 @@ impl FaultPlan {
     }
 }
 
-/// Counts of faults actually injected, for tests and reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct FaultCounters {
-    /// DRAM reads that received extra latency.
-    pub perturbed_dram_reads: u64,
-    /// Prefetch issues that were dropped.
-    pub dropped_prefetches: u64,
+cs_trace::snap_struct! {
+    /// Counts of faults actually injected, for tests and reports.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct FaultCounters {
+        /// DRAM reads that received extra latency.
+        pub perturbed_dram_reads: u64,
+        /// Prefetch issues that were dropped.
+        pub dropped_prefetches: u64,
+    }
 }
 
 /// Runtime state of an active plan: the plan plus its random stream.
@@ -116,8 +119,7 @@ impl FaultState {
     /// counters into `e`; the plan itself is configuration.
     pub(crate) fn encode_snap(&self, e: &mut cs_trace::snap::Enc) {
         e.u64(self.rng);
-        e.u64(self.counters.perturbed_dram_reads);
-        e.u64(self.counters.dropped_prefetches);
+        self.counters.encode_snap(e);
     }
 
     /// Restores the cursor written by [`FaultState::encode_snap`].
@@ -126,8 +128,7 @@ impl FaultState {
         d: &mut cs_trace::snap::Dec<'_>,
     ) -> Result<(), cs_trace::snap::SnapError> {
         self.rng = d.u64()?;
-        self.counters.perturbed_dram_reads = d.u64()?;
-        self.counters.dropped_prefetches = d.u64()?;
+        self.counters = FaultCounters::decode_snap(d)?;
         Ok(())
     }
 

@@ -55,13 +55,16 @@ impl AccessClass {
     }
 }
 
-/// Accesses and hits at one cache level, split by [`AccessClass`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct LevelStats {
-    /// Demand accesses per class.
-    pub accesses: [u64; 4],
-    /// Demand hits per class.
-    pub hits: [u64; 4],
+cs_trace::snap_struct! {
+    merge;
+    /// Accesses and hits at one cache level, split by [`AccessClass`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct LevelStats {
+        /// Demand accesses per class.
+        pub accesses: [u64; 4],
+        /// Demand hits per class.
+        pub hits: [u64; 4],
+    }
 }
 
 impl LevelStats {
@@ -98,121 +101,74 @@ impl LevelStats {
     pub fn instr_misses(&self) -> (u64, u64) {
         (self.misses(AccessClass::InstrUser), self.misses(AccessClass::InstrKernel))
     }
+}
 
-    /// Adds every counter of `other` into `self` (per-window aggregation).
-    pub fn merge_from(&mut self, other: &LevelStats) {
-        for i in 0..4 {
-            self.accesses[i] += other.accesses[i];
-            self.hits[i] += other.hits[i];
-        }
-    }
-
-    /// Writes both counter arrays in a fixed order.
-    pub fn encode_snap(&self, e: &mut cs_trace::snap::Enc) {
-        for &v in &self.accesses {
-            e.u64(v);
-        }
-        for &v in &self.hits {
-            e.u64(v);
-        }
-    }
-
-    /// Inverse of [`LevelStats::encode_snap`].
-    pub fn restore_snap(
-        &mut self,
-        d: &mut cs_trace::snap::Dec<'_>,
-    ) -> Result<(), cs_trace::snap::SnapError> {
-        for v in &mut self.accesses {
-            *v = d.u64()?;
-        }
-        for v in &mut self.hits {
-            *v = d.u64()?;
-        }
-        Ok(())
+cs_trace::snap_struct! {
+    merge;
+    /// Prefetcher activity for one core.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct PrefetchStats {
+        /// Prefetches issued by the adjacent-line prefetcher.
+        pub issued_adjacent: u64,
+        /// Prefetches issued by the L2 HW stride prefetcher.
+        pub issued_stride: u64,
+        /// Prefetches issued by the DCU streamer.
+        pub issued_dcu: u64,
+        /// Prefetches issued by the L1-I next-line prefetcher.
+        pub issued_instr: u64,
+        /// Demand hits on prefetched lines, at the L1-D.
+        pub useful_l1d: u64,
+        /// Demand hits on prefetched lines, at the L2.
+        pub useful_l2: u64,
+        /// Demand hits on prefetched lines, at the L1-I.
+        pub useful_l1i: u64,
     }
 }
 
-/// Prefetcher activity for one core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct PrefetchStats {
-    /// Prefetches issued by the adjacent-line prefetcher.
-    pub issued_adjacent: u64,
-    /// Prefetches issued by the L2 HW stride prefetcher.
-    pub issued_stride: u64,
-    /// Prefetches issued by the DCU streamer.
-    pub issued_dcu: u64,
-    /// Prefetches issued by the L1-I next-line prefetcher.
-    pub issued_instr: u64,
-    /// Demand hits on prefetched lines, at the L1-D.
-    pub useful_l1d: u64,
-    /// Demand hits on prefetched lines, at the L2.
-    pub useful_l2: u64,
-    /// Demand hits on prefetched lines, at the L1-I.
-    pub useful_l1i: u64,
-}
-
-impl PrefetchStats {
-    /// Adds every counter of `other` into `self`.
-    pub fn merge_from(&mut self, other: &PrefetchStats) {
-        self.issued_adjacent += other.issued_adjacent;
-        self.issued_stride += other.issued_stride;
-        self.issued_dcu += other.issued_dcu;
-        self.issued_instr += other.issued_instr;
-        self.useful_l1d += other.useful_l1d;
-        self.useful_l2 += other.useful_l2;
-        self.useful_l1i += other.useful_l1i;
+cs_trace::snap_struct! {
+    merge;
+    /// TLB activity for one core.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct TlbStats {
+        /// ITLB first-level misses.
+        pub itlb_misses: u64,
+        /// DTLB first-level misses.
+        pub dtlb_misses: u64,
+        /// Second-level TLB misses (page walks).
+        pub stlb_misses: u64,
+        /// Cycles of ITLB-miss stall (enters the §3.1 memory-cycle formula).
+        pub itlb_miss_cycles: u64,
+        /// Cycles of second-level TLB miss stall (ditto).
+        pub stlb_miss_cycles: u64,
     }
 }
 
-/// TLB activity for one core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct TlbStats {
-    /// ITLB first-level misses.
-    pub itlb_misses: u64,
-    /// DTLB first-level misses.
-    pub dtlb_misses: u64,
-    /// Second-level TLB misses (page walks).
-    pub stlb_misses: u64,
-    /// Cycles of ITLB-miss stall (enters the §3.1 memory-cycle formula).
-    pub itlb_miss_cycles: u64,
-    /// Cycles of second-level TLB miss stall (ditto).
-    pub stlb_miss_cycles: u64,
-}
-
-impl TlbStats {
-    /// Adds every counter of `other` into `self`.
-    pub fn merge_from(&mut self, other: &TlbStats) {
-        self.itlb_misses += other.itlb_misses;
-        self.dtlb_misses += other.dtlb_misses;
-        self.stlb_misses += other.stlb_misses;
-        self.itlb_miss_cycles += other.itlb_miss_cycles;
-        self.stlb_miss_cycles += other.stlb_miss_cycles;
+cs_trace::snap_struct! {
+    merge;
+    /// All memory-system statistics attributed to one core.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+    pub struct CoreMemStats {
+        /// L1 instruction cache.
+        pub l1i: LevelStats,
+        /// L1 data cache.
+        pub l1d: LevelStats,
+        /// Private L2.
+        pub l2: LevelStats,
+        /// Shared LLC (accesses by this core).
+        pub llc: LevelStats,
+        /// LLC *data* references that hit a block most recently written by
+        /// another core, split user/kernel (Figure 6 numerator).
+        pub rw_shared: [u64; 2],
+        /// Ownership upgrades (RFOs for lines already present clean).
+        pub upgrades: u64,
+        /// Bytes this core moved to/from DRAM (demand fills, prefetch fills and
+        /// writebacks it caused), split user/kernel (Figure 7 numerator).
+        pub dram_bytes: [u64; 2],
+        /// Prefetcher activity.
+        pub prefetch: PrefetchStats,
+        /// TLB activity.
+        pub tlb: TlbStats,
     }
-}
-
-/// All memory-system statistics attributed to one core.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct CoreMemStats {
-    /// L1 instruction cache.
-    pub l1i: LevelStats,
-    /// L1 data cache.
-    pub l1d: LevelStats,
-    /// Private L2.
-    pub l2: LevelStats,
-    /// Shared LLC (accesses by this core).
-    pub llc: LevelStats,
-    /// LLC *data* references that hit a block most recently written by
-    /// another core, split user/kernel (Figure 6 numerator).
-    pub rw_shared: [u64; 2],
-    /// Ownership upgrades (RFOs for lines already present clean).
-    pub upgrades: u64,
-    /// Bytes this core moved to/from DRAM (demand fills, prefetch fills and
-    /// writebacks it caused), split user/kernel (Figure 7 numerator).
-    pub dram_bytes: [u64; 2],
-    /// Prefetcher activity.
-    pub prefetch: PrefetchStats,
-    /// TLB activity.
-    pub tlb: TlbStats,
 }
 
 impl CoreMemStats {
@@ -231,79 +187,6 @@ impl CoreMemStats {
     pub fn dram_bytes_total(&self) -> u64 {
         self.dram_bytes[0] + self.dram_bytes[1]
     }
-
-    /// Adds every counter of `other` into `self`.
-    ///
-    /// Used by the sampling driver to fold per-window memory statistics
-    /// into the campaign-level accumulator.
-    pub fn merge_from(&mut self, other: &CoreMemStats) {
-        self.l1i.merge_from(&other.l1i);
-        self.l1d.merge_from(&other.l1d);
-        self.l2.merge_from(&other.l2);
-        self.llc.merge_from(&other.llc);
-        self.rw_shared[0] += other.rw_shared[0];
-        self.rw_shared[1] += other.rw_shared[1];
-        self.upgrades += other.upgrades;
-        self.dram_bytes[0] += other.dram_bytes[0];
-        self.dram_bytes[1] += other.dram_bytes[1];
-        self.prefetch.merge_from(&other.prefetch);
-        self.tlb.merge_from(&other.tlb);
-    }
-
-    /// Writes every counter in a fixed order (shared with the
-    /// [`crate::MemorySystem`] snapshot codec).
-    pub fn encode_snap(&self, e: &mut cs_trace::snap::Enc) {
-        self.l1i.encode_snap(e);
-        self.l1d.encode_snap(e);
-        self.l2.encode_snap(e);
-        self.llc.encode_snap(e);
-        e.u64(self.rw_shared[0]);
-        e.u64(self.rw_shared[1]);
-        e.u64(self.upgrades);
-        e.u64(self.dram_bytes[0]);
-        e.u64(self.dram_bytes[1]);
-        e.u64(self.prefetch.issued_adjacent);
-        e.u64(self.prefetch.issued_stride);
-        e.u64(self.prefetch.issued_dcu);
-        e.u64(self.prefetch.issued_instr);
-        e.u64(self.prefetch.useful_l1d);
-        e.u64(self.prefetch.useful_l2);
-        e.u64(self.prefetch.useful_l1i);
-        e.u64(self.tlb.itlb_misses);
-        e.u64(self.tlb.dtlb_misses);
-        e.u64(self.tlb.stlb_misses);
-        e.u64(self.tlb.itlb_miss_cycles);
-        e.u64(self.tlb.stlb_miss_cycles);
-    }
-
-    /// Inverse of [`CoreMemStats::encode_snap`].
-    pub fn restore_snap(
-        &mut self,
-        d: &mut cs_trace::snap::Dec<'_>,
-    ) -> Result<(), cs_trace::snap::SnapError> {
-        self.l1i.restore_snap(d)?;
-        self.l1d.restore_snap(d)?;
-        self.l2.restore_snap(d)?;
-        self.llc.restore_snap(d)?;
-        self.rw_shared[0] = d.u64()?;
-        self.rw_shared[1] = d.u64()?;
-        self.upgrades = d.u64()?;
-        self.dram_bytes[0] = d.u64()?;
-        self.dram_bytes[1] = d.u64()?;
-        self.prefetch.issued_adjacent = d.u64()?;
-        self.prefetch.issued_stride = d.u64()?;
-        self.prefetch.issued_dcu = d.u64()?;
-        self.prefetch.issued_instr = d.u64()?;
-        self.prefetch.useful_l1d = d.u64()?;
-        self.prefetch.useful_l2 = d.u64()?;
-        self.prefetch.useful_l1i = d.u64()?;
-        self.tlb.itlb_misses = d.u64()?;
-        self.tlb.dtlb_misses = d.u64()?;
-        self.tlb.stlb_misses = d.u64()?;
-        self.tlb.itlb_miss_cycles = d.u64()?;
-        self.tlb.stlb_miss_cycles = d.u64()?;
-        Ok(())
-    }
 }
 
 /// Statistics for the whole memory system.
@@ -318,6 +201,7 @@ pub struct MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_trace::snap::{Codec, Merge};
 
     #[test]
     fn class_axes() {
@@ -382,8 +266,8 @@ mod tests {
         let mut e = cs_trace::snap::Enc::new();
         b.encode_snap(&mut e);
         let mut d = cs_trace::snap::Dec::new(&e.buf);
-        let mut back = CoreMemStats::default();
-        back.restore_snap(&mut d).expect("restore");
+        let back = CoreMemStats::decode_snap(&mut d).expect("decode");
+        d.finish().expect("no trailing bytes");
         assert_eq!(back, b);
     }
 }

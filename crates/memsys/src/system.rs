@@ -24,11 +24,12 @@
 
 use crate::cache::{Cache, LineMeta};
 use crate::config::MemSysConfig;
-use crate::dram::{BandwidthRegulator, Dram};
+use crate::dram::{BandwidthRegulator, Dram, DramStats};
 use crate::fault::{FaultCounters, FaultState};
 use crate::prefetch::{adjacent_line, next_line, StridePrefetcher};
 use crate::stats::{AccessClass, CoreMemStats, MemStats};
 use crate::tlb::{TlbHierarchy, TlbOutcome};
+use cs_trace::snap::Codec;
 use cs_trace::Privilege;
 
 /// Which level of the hierarchy serviced an access.
@@ -346,12 +347,9 @@ impl MemorySystem {
         }
         self.dram.encode_snap(e);
         for core in &self.stats.per_core {
-            encode_core_stats(e, core);
+            core.encode_snap(e);
         }
-        e.u64(self.stats.dram.reads);
-        e.u64(self.stats.dram.writes);
-        e.u64(self.stats.dram.bytes);
-        e.u64(self.stats.dram.busy_cycles);
+        self.stats.dram.encode_snap(e);
         match &self.fault {
             Some(f) => {
                 e.bool(true);
@@ -414,12 +412,9 @@ impl MemorySystem {
         }
         self.dram.restore_snap(d)?;
         for core in &mut self.stats.per_core {
-            restore_core_stats(d, core)?;
+            *core = CoreMemStats::decode_snap(d)?;
         }
-        self.stats.dram.reads = d.u64()?;
-        self.stats.dram.writes = d.u64()?;
-        self.stats.dram.bytes = d.u64()?;
-        self.stats.dram.busy_cycles = d.u64()?;
+        self.stats.dram = DramStats::decode_snap(d)?;
         let had_fault = d.bool()?;
         match (had_fault, &mut self.fault) {
             (true, Some(f)) => f.restore_snap(d)?,
@@ -1205,18 +1200,6 @@ impl MemorySystem {
             self.fill_l1(core, is_instr, line, false, true, now);
         }
     }
-}
-
-/// Writes every counter of one core's [`CoreMemStats`].
-fn encode_core_stats(e: &mut cs_trace::snap::Enc, s: &CoreMemStats) {
-    s.encode_snap(e);
-}
-
-fn restore_core_stats(
-    d: &mut cs_trace::snap::Dec<'_>,
-    s: &mut CoreMemStats,
-) -> Result<(), cs_trace::snap::SnapError> {
-    s.restore_snap(d)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! needs min/max range bars per workload group, provided by
 //! [`RunningStat`].
 
+use cs_trace::snap::SnapError;
 use serde::Serialize;
 
 /// `numerator / denominator`, or 0 when the denominator is zero.
@@ -153,14 +154,22 @@ impl FromIterator<f64> for RunningStat {
     }
 }
 
-/// A fixed-bucket histogram over `u64` samples.
-///
-/// Used for occupancy distributions (MSHR / super-queue occupancy, ROB
-/// occupancy) that back the paper's MLP methodology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    overflow: u64,
+cs_trace::snap_struct! {
+    merge;
+    check = |h: &Histogram| match h.buckets.len() {
+        0 => Err(SnapError::Mismatch("empty histogram".into())),
+        _ => Ok(()),
+    };
+    /// A fixed-bucket histogram over `u64` samples.
+    ///
+    /// Used for occupancy distributions (MSHR / super-queue occupancy, ROB
+    /// occupancy) that back the paper's MLP methodology. Merging two
+    /// histograms of different capacities panics.
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+    pub struct Histogram {
+        buckets: Vec<u64>,
+        overflow: u64,
+    }
 }
 
 impl Histogram {
@@ -206,14 +215,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// Number of in-range buckets (the `capacity` passed to
-    /// [`Histogram::new`]). Together with [`Histogram::count_at`] and
-    /// [`Histogram::overflow`] this makes the full distribution readable
-    /// through the public API, which the snapshot codec relies on.
-    pub fn capacity(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Mean of the distribution, counting overflow at the bucket cap.
     pub fn mean(&self) -> f64 {
         let total = self.total();
@@ -228,26 +229,6 @@ impl Histogram {
             .sum::<u64>()
             + self.overflow * self.buckets.len() as u64;
         sum as f64 / total as f64
-    }
-
-    /// Adds every bucket of `other` into `self` (used by the sampling
-    /// harness to merge per-window occupancy distributions into run
-    /// totals).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ — merging distributions recorded
-    /// against different bucket ranges is a configuration bug.
-    pub fn merge_from(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "histogram capacity mismatch in merge"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += *b;
-        }
-        self.overflow += other.overflow;
     }
 
     /// Mean over only the observations with `value >= 1` — the paper's MLP
@@ -273,6 +254,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_trace::snap::Merge;
 
     #[test]
     fn ratio_handles_zero_denominator() {
@@ -353,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity mismatch")]
+    #[should_panic(expected = "length mismatch")]
     fn histogram_merge_rejects_capacity_mismatch() {
         let mut a = Histogram::new(3);
         a.merge_from(&Histogram::new(4));

@@ -16,14 +16,22 @@
 //! - `bool` is one byte (0/1), any other value is a [`SnapError::BadTag`];
 //! - `Option<T>` is a one-byte tag (0 = `None`, 1 = `Some`) followed by
 //!   the payload;
-//! - `f64` travels as its IEEE-754 bit pattern (`to_bits`), so exact
-//!   values round-trip;
 //! - enums are a one-byte tag; unknown tags are a typed error, never UB.
+//!
+//! Counter structs declare their codec instead of writing it: a struct
+//! written inside [`snap_struct!`](crate::snap_struct) gets a [`Codec`]
+//! that writes its fields in declaration order (and, on request, a
+//! field-by-field [`Merge`]), so its field list exists once and the
+//! declaration order is the byte layout. Structural state whose restore
+//! must check invariants across fields (ring buffers, cache arrays,
+//! topology guards) keeps a hand-written `encode_snap`/`restore_snap`
+//! pair over [`Enc`]/[`Dec`].
 //!
 //! Checksumming (FNV-1a 64) and the versioned envelope live with the
 //! checkpoint manager in `cs-core`; this module provides the primitive
-//! [`fnv1a64`] plus the [`Enc`]/[`Dec`] pair and codecs for the trace
-//! types ([`MicroOp`] et al.) that higher layers embed in their snapshots.
+//! [`fnv1a64`] plus the [`Enc`]/[`Dec`] pair, the declared-codec traits
+//! and codecs for the trace types ([`MicroOp`] et al.) that higher layers
+//! embed in their snapshots.
 
 use crate::op::{MemRef, MicroOp, OpKind, Privilege};
 
@@ -121,22 +129,6 @@ impl Enc {
         self.u8(u8::from(v));
     }
 
-    /// Writes an `f64` as its exact bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes an `Option<u64>` as tag + payload.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
-    }
-
     /// Writes an `Option<u8>` as tag + payload.
     pub fn opt_u8(&mut self, v: Option<u8>) {
         match v {
@@ -146,20 +138,6 @@ impl Enc {
                 self.u8(x);
             }
         }
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed opaque byte blob — the in-memory handoff
-    /// primitive for nesting one encoded snapshot (e.g. a chip state
-    /// captured at a sampling-window boundary) inside another stream.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.len(b.len());
-        self.buf.extend_from_slice(b);
     }
 }
 
@@ -247,20 +225,6 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an `Option<u64>`.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(SnapError::BadTag(t)),
-        }
-    }
-
     /// Reads an `Option<u8>`.
     pub fn opt_u8(&mut self) -> Result<Option<u8>, SnapError> {
         match self.u8()? {
@@ -268,19 +232,6 @@ impl<'a> Dec<'a> {
             1 => Ok(Some(self.u8()?)),
             t => Err(SnapError::BadTag(t)),
         }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapError> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::BadTag(0xFF))
-    }
-
-    /// Reads a length-prefixed opaque byte blob written by [`Enc::bytes`].
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
-        let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
     }
 
     /// Asserts that every byte has been consumed — a decoded struct that
@@ -292,6 +243,191 @@ impl<'a> Dec<'a> {
             Err(SnapError::Mismatch(format!("{} trailing bytes after decode", self.remaining())))
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Declared codecs: one field list per counter struct
+// ---------------------------------------------------------------------
+
+/// A value whose snapshot bytes follow from its declaration: the fields
+/// of a [`snap_struct!`] struct in declaration order, each through its
+/// own `Codec`.
+pub trait Codec: Sized {
+    /// Writes `self` into `e`.
+    fn encode_snap(&self, e: &mut Enc);
+    /// Reads a value written by [`Codec::encode_snap`].
+    fn decode_snap(d: &mut Dec<'_>) -> Result<Self, SnapError>;
+}
+
+/// A counter that adds another counter of the same shape into itself —
+/// how the sampling harness folds per-window statistics into run totals.
+pub trait Merge {
+    /// Adds every counter of `other` into `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vector differs in length between the two sides:
+    /// merging counters of differently-shaped machines is a harness bug.
+    fn merge_from(&mut self, other: &Self);
+}
+
+impl Codec for u64 {
+    fn encode_snap(&self, e: &mut Enc) {
+        e.u64(*self);
+    }
+    fn decode_snap(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        d.u64()
+    }
+}
+
+impl Merge for u64 {
+    fn merge_from(&mut self, other: &Self) {
+        *self += *other;
+    }
+}
+
+impl Codec for bool {
+    fn encode_snap(&self, e: &mut Enc) {
+        e.bool(*self);
+    }
+    fn decode_snap(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        d.bool()
+    }
+}
+
+/// Fixed-size arrays carry no length: the type fixes it.
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    fn encode_snap(&self, e: &mut Enc) {
+        for v in self {
+            v.encode_snap(e);
+        }
+    }
+    fn decode_snap(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::decode_snap(d)?;
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Merge, const N: usize> Merge for [T; N] {
+    fn merge_from(&mut self, other: &Self) {
+        for (a, b) in self.iter_mut().zip(other) {
+            a.merge_from(b);
+        }
+    }
+}
+
+/// Vectors are length-prefixed ([`Enc::len`]).
+impl<T: Codec> Codec for Vec<T> {
+    fn encode_snap(&self, e: &mut Enc) {
+        e.len(self.len());
+        for v in self {
+            v.encode_snap(e);
+        }
+    }
+    fn decode_snap(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        (0..d.len()?).map(|_| T::decode_snap(d)).collect()
+    }
+}
+
+impl<T: Merge> Merge for Vec<T> {
+    fn merge_from(&mut self, other: &Self) {
+        assert_eq!(self.len(), other.len(), "length mismatch in merge");
+        for (a, b) in self.iter_mut().zip(other) {
+            a.merge_from(b);
+        }
+    }
+}
+
+/// Declares a struct whose snapshot codec — and, with a leading `merge;`,
+/// whose [`Merge`] — follow from its field list.
+///
+/// The macro takes the struct's own declaration, doc comments and
+/// attributes included, emits it unchanged, and implements [`Codec`] by
+/// writing every field in declaration order. So the declaration *is* the
+/// byte layout: reordering, adding or removing a field changes the
+/// checkpoint format. `merge;` also implements [`Merge`] field by field,
+/// and `check = <fn(&Self) -> Result<(), SnapError>>;` rejects a decoded
+/// value that breaks an invariant of the type.
+///
+/// ```
+/// cs_trace::snap_struct! {
+///     merge;
+///     /// Hits and misses.
+///     #[derive(Debug, Default)]
+///     pub struct Counts {
+///         pub hits: u64,
+///         misses: [u64; 2],
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    (merge; check = $check:expr; $($item:tt)*) => {
+        $crate::snap_struct!(@item [merge] [$check] $($item)*);
+    };
+    (merge; $($item:tt)*) => {
+        $crate::snap_struct!(@item [merge] [] $($item)*);
+    };
+    // Everything is forwarded as plain tokens, so derives on the struct
+    // see the declaration exactly as written.
+    (@item $merge:tt $check:tt
+        $(#[$($attr:tt)*])*
+        $(pub $(($($vis:tt)*))?)? struct $name:ident { $($body:tt)* }
+    ) => {
+        $(#[$($attr)*])*
+        $(pub $(($($vis)*))?)? struct $name { $($body)* }
+        $crate::snap_struct!(@fields $name $merge $check [] $($body)*);
+    };
+    // Collects the field names, skipping attributes and visibility.
+    (@fields $name:ident $merge:tt $check:tt [$($f:ident)*]
+        #[$($attr:tt)*] $($rest:tt)*
+    ) => {
+        $crate::snap_struct!(@fields $name $merge $check [$($f)*] $($rest)*);
+    };
+    (@fields $name:ident $merge:tt $check:tt [$($f:ident)*]
+        pub ($($vis:tt)*) $($rest:tt)*
+    ) => {
+        $crate::snap_struct!(@fields $name $merge $check [$($f)*] $($rest)*);
+    };
+    (@fields $name:ident $merge:tt $check:tt [$($f:ident)*] pub $($rest:tt)*) => {
+        $crate::snap_struct!(@fields $name $merge $check [$($f)*] $($rest)*);
+    };
+    (@fields $name:ident $merge:tt $check:tt [$($f:ident)*]
+        $field:ident : $ty:ty $(, $($rest:tt)*)?
+    ) => {
+        $crate::snap_struct!(@fields $name $merge $check [$($f)* $field] $($($rest)*)?);
+    };
+    (@fields $name:ident $merge:tt [$($check:expr)?] [$($f:ident)*]) => {
+        impl $crate::snap::Codec for $name {
+            fn encode_snap(&self, e: &mut $crate::snap::Enc) {
+                $($crate::snap::Codec::encode_snap(&self.$f, e);)*
+            }
+            fn decode_snap(
+                d: &mut $crate::snap::Dec<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                // Struct-expression fields evaluate in the order written:
+                // declaration order, the order they were encoded in.
+                let v = Self { $($f: $crate::snap::Codec::decode_snap(d)?,)* };
+                $(($check)(&v)?;)?
+                Ok(v)
+            }
+        }
+        $crate::snap_struct!(@merge $merge $name [$($f)*]);
+    };
+    (@merge [] $name:ident $fields:tt) => {};
+    (@merge [merge] $name:ident [$($f:ident)*]) => {
+        impl $crate::snap::Merge for $name {
+            fn merge_from(&mut self, other: &Self) {
+                $($crate::snap::Merge::merge_from(&mut self.$f, &other.$f);)*
+            }
+        }
+    };
+    ($(#[$($attr:tt)*])* $(pub $(($($vis:tt)*))?)? struct $($rest:tt)*) => {
+        $crate::snap_struct!(@item [] [] $(#[$($attr)*])* $(pub $(($($vis)*))?)? struct $($rest)*);
+    };
 }
 
 // ---------------------------------------------------------------------
@@ -397,12 +533,8 @@ mod tests {
         e.i64(-42);
         e.bool(true);
         e.bool(false);
-        e.f64(3.5);
-        e.f64(f64::NEG_INFINITY);
-        e.opt_u64(None);
-        e.opt_u64(Some(7));
+        e.opt_u8(None);
         e.opt_u8(Some(9));
-        e.str("checkpoint");
         let mut d = Dec::new(&e.buf);
         assert_eq!(d.u8().unwrap(), 0xAB);
         assert_eq!(d.u16().unwrap(), 0xBEEF);
@@ -411,12 +543,8 @@ mod tests {
         assert_eq!(d.i64().unwrap(), -42);
         assert!(d.bool().unwrap());
         assert!(!d.bool().unwrap());
-        assert_eq!(d.f64().unwrap(), 3.5);
-        assert_eq!(d.f64().unwrap(), f64::NEG_INFINITY);
-        assert_eq!(d.opt_u64().unwrap(), None);
-        assert_eq!(d.opt_u64().unwrap(), Some(7));
+        assert_eq!(d.opt_u8().unwrap(), None);
         assert_eq!(d.opt_u8().unwrap(), Some(9));
-        assert_eq!(d.str().unwrap(), "checkpoint");
         d.finish().unwrap();
     }
 
@@ -432,7 +560,7 @@ mod tests {
     fn bad_bool_and_option_tags_are_rejected() {
         let buf = [2u8];
         assert_eq!(Dec::new(&buf).bool(), Err(SnapError::BadTag(2)));
-        assert_eq!(Dec::new(&buf).opt_u64(), Err(SnapError::BadTag(2)));
+        assert_eq!(Dec::new(&buf).opt_u8(), Err(SnapError::BadTag(2)));
     }
 
     #[test]
@@ -482,6 +610,114 @@ mod tests {
         e.u64(0x1000);
         e.u8(0); // invalid size
         assert!(matches!(decode_op(&mut Dec::new(&e.buf)), Err(SnapError::BadTag(0))));
+    }
+
+    crate::snap_struct! {
+        merge;
+        check = |b: &Buckets| match b.counts.len() {
+            0 => Err(SnapError::Mismatch("no buckets".into())),
+            _ => Ok(()),
+        };
+        /// A nested counter with an invariant its decode checks.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Buckets {
+            counts: Vec<u64>,
+            overflow: u64,
+        }
+    }
+
+    crate::snap_struct! {
+        merge;
+        /// One field of every mergeable kind.
+        #[derive(Debug, Clone, PartialEq)]
+        pub(crate) struct Counters {
+            /// A plain counter.
+            pub total: u64,
+            pub(crate) pair: [u64; 2],
+            buckets: Buckets,
+            per_thread: Vec<[u64; 2]>,
+        }
+    }
+
+    crate::snap_struct! {
+        #[derive(Debug, PartialEq)]
+        struct Record {
+            done: bool,
+            counters: Counters,
+            history: Vec<Buckets>,
+        }
+    }
+
+    fn record() -> Record {
+        let buckets = |c: &[u64], overflow| Buckets { counts: c.to_vec(), overflow };
+        Record {
+            done: true,
+            counters: Counters {
+                total: 7,
+                pair: [1, 1 << 40],
+                buckets: buckets(&[3, 0, 5], 2),
+                per_thread: vec![[4, 5], [6, 7]],
+            },
+            history: vec![buckets(&[1], 0), buckets(&[2, 9], 8)],
+        }
+    }
+
+    #[test]
+    fn declared_struct_writes_fields_in_declaration_order() {
+        let r = record();
+        let mut e = Enc::new();
+        r.encode_snap(&mut e);
+        let mut want = Enc::new();
+        want.bool(true);
+        for v in [7, 1, 1 << 40, 3, 3, 0, 5, 2, 2, 4, 5, 6, 7, 2, 1, 1, 0, 2, 2, 9, 8] {
+            want.u64(v);
+        }
+        assert_eq!(e.buf, want.buf);
+
+        let mut d = Dec::new(&e.buf);
+        let back = Record::decode_snap(&mut d).expect("decode");
+        d.finish().expect("no trailing bytes");
+        assert_eq!(back, r);
+        let mut again = Enc::new();
+        back.encode_snap(&mut again);
+        assert_eq!(again.buf, e.buf, "re-encoding must reproduce the bytes");
+    }
+
+    #[test]
+    fn declared_struct_merges_field_by_field() {
+        let mut a = record().counters;
+        a.merge_from(&record().counters);
+        assert_eq!(a.total, 14);
+        assert_eq!(a.pair, [2, 1 << 41]);
+        assert_eq!(a.buckets, Buckets { counts: vec![6, 0, 10], overflow: 4 });
+        assert_eq!(a.per_thread, vec![[8, 10], [12, 14]]);
+    }
+
+    #[test]
+    fn every_prefix_of_a_declared_struct_is_truncated() {
+        let mut e = Enc::new();
+        record().encode_snap(&mut e);
+        for n in 0..e.buf.len() {
+            let got = Record::decode_snap(&mut Dec::new(&e.buf[..n]));
+            assert_eq!(got, Err(SnapError::Truncated), "prefix of {n} bytes");
+        }
+    }
+
+    #[test]
+    fn declared_check_rejects_a_broken_invariant() {
+        let mut e = Enc::new();
+        Buckets { counts: Vec::new(), overflow: 1 }.encode_snap(&mut e);
+        let got = Buckets::decode_snap(&mut Dec::new(&e.buf));
+        assert!(matches!(got, Err(SnapError::Mismatch(_))), "{got:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch in merge")]
+    fn vector_merge_rejects_a_length_mismatch() {
+        let mut a = record().counters;
+        let mut b = record().counters;
+        b.per_thread.pop();
+        a.merge_from(&b);
     }
 
     #[test]

@@ -12,16 +12,18 @@ use crate::core::{Fidelity, OooCore};
 use cs_memsys::{MemSysConfig, MemorySystem};
 use cs_trace::TraceSource;
 
-/// How a watched measurement window ended (other than by stalling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowOutcome {
-    /// Cycles simulated in this window.
-    pub cycles: u64,
-    /// Instructions the measured cores committed in this window.
-    pub committed: u64,
-    /// Whether the instruction target was reached (`false` means the
-    /// window was truncated by `max_cycles` or by source exhaustion).
-    pub reached_target: bool,
+cs_trace::snap_struct! {
+    /// How a watched measurement window ended (other than by stalling).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WindowOutcome {
+        /// Cycles simulated in this window.
+        pub cycles: u64,
+        /// Instructions the measured cores committed in this window.
+        pub committed: u64,
+        /// Whether the instruction target was reached (`false` means the
+        /// window was truncated by `max_cycles` or by source exhaustion).
+        pub reached_target: bool,
+    }
 }
 
 /// Diagnosis produced when the forward-progress watchdog fires: a measured

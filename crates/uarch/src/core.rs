@@ -30,6 +30,7 @@ use crate::branch::{BranchModel, Gshare};
 use crate::config::{CoreConfig, SmtFetchPolicy, MAX_ROB_PER_THREAD};
 use crate::stats::CoreStats;
 use cs_memsys::MemorySystem;
+use cs_trace::snap::Codec;
 use cs_trace::{MicroOp, OpKind, Privilege, TraceSource};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

@@ -9,44 +9,47 @@
 use cs_perf::Histogram;
 use serde::Serialize;
 
-/// Counters for one core (aggregated over its hardware threads).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct CoreStats {
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Instructions committed, indexed `[user, kernel]`.
-    pub committed: [u64; 2],
-    /// Cycles in which ≥1 instruction committed, attributed to the
-    /// privilege of the first retiring instruction, `[user, kernel]`.
-    pub committing_cycles: [u64; 2],
-    /// Cycles in which nothing committed, attributed to the privilege of
-    /// the oldest in-flight (or being-fetched) instruction, `[user,
-    /// kernel]`.
-    pub stalled_cycles: [u64; 2],
-    /// Cycles with at least one off-core demand *data* request (load or
-    /// store RFO) outstanding — the super-queue occupancy component of the
-    /// paper's memory cycles.
-    pub offcore_outstanding_cycles: u64,
-    /// Cycles the paper's Figure 1 classifies as memory cycles: an
-    /// off-core data request outstanding, or the frontend stalled on the
-    /// memory system (L1-I miss service beyond the L1, instruction TLB
-    /// misses). Computed per cycle, so it never exceeds `cycles` — the
-    /// non-overlap property §3.1 requires.
-    pub memory_cycles: u64,
-    /// Extra instruction-fetch stall cycles spent on L1-I misses that hit
-    /// in the L2 (an explicit component of the §3.1 memory-cycle formula).
-    pub l2_ifetch_stall_cycles: u64,
-    /// Histogram of outstanding off-core demand *loads* per cycle; its
-    /// nonzero mean is the paper's MLP metric.
-    pub offcore_load_occupancy: Histogram,
-    /// Branches executed.
-    pub branches: u64,
-    /// Mispredicted branches executed.
-    pub mispredicts: u64,
-    /// Sum of ROB occupancy over cycles (for average occupancy).
-    pub rob_occupancy_sum: u64,
-    /// Instructions committed per hardware thread.
-    pub per_thread_committed: Vec<u64>,
+cs_trace::snap_struct! {
+    merge;
+    /// Counters for one core (aggregated over its hardware threads).
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+    pub struct CoreStats {
+        /// Cycles simulated.
+        pub cycles: u64,
+        /// Instructions committed, indexed `[user, kernel]`.
+        pub committed: [u64; 2],
+        /// Cycles in which ≥1 instruction committed, attributed to the
+        /// privilege of the first retiring instruction, `[user, kernel]`.
+        pub committing_cycles: [u64; 2],
+        /// Cycles in which nothing committed, attributed to the privilege of
+        /// the oldest in-flight (or being-fetched) instruction, `[user,
+        /// kernel]`.
+        pub stalled_cycles: [u64; 2],
+        /// Cycles with at least one off-core demand *data* request (load or
+        /// store RFO) outstanding — the super-queue occupancy component of the
+        /// paper's memory cycles.
+        pub offcore_outstanding_cycles: u64,
+        /// Cycles the paper's Figure 1 classifies as memory cycles: an
+        /// off-core data request outstanding, or the frontend stalled on the
+        /// memory system (L1-I miss service beyond the L1, instruction TLB
+        /// misses). Computed per cycle, so it never exceeds `cycles` — the
+        /// non-overlap property §3.1 requires.
+        pub memory_cycles: u64,
+        /// Extra instruction-fetch stall cycles spent on L1-I misses that hit
+        /// in the L2 (an explicit component of the §3.1 memory-cycle formula).
+        pub l2_ifetch_stall_cycles: u64,
+        /// Histogram of outstanding off-core demand *loads* per cycle; its
+        /// nonzero mean is the paper's MLP metric.
+        pub offcore_load_occupancy: Histogram,
+        /// Branches executed.
+        pub branches: u64,
+        /// Mispredicted branches executed.
+        pub mispredicts: u64,
+        /// Sum of ROB occupancy over cycles (for average occupancy).
+        pub rob_occupancy_sum: u64,
+        /// Instructions committed per hardware thread.
+        pub per_thread_committed: Vec<u64>,
+    }
 }
 
 impl CoreStats {
@@ -148,118 +151,12 @@ impl CoreStats {
             self.stalled_cycles[idx] += span;
         }
     }
-
-    /// Adds every counter of `other` into `self` — used by the sampling
-    /// harness to merge per-window statistics into run totals. Both sides
-    /// must come from the same core configuration (same thread count and
-    /// MSHR capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-thread vectors or occupancy-histogram capacities
-    /// differ — merging windows measured on differently-shaped cores is a
-    /// harness bug.
-    pub fn absorb(&mut self, other: &CoreStats) {
-        assert_eq!(
-            self.per_thread_committed.len(),
-            other.per_thread_committed.len(),
-            "thread-count mismatch in stats merge"
-        );
-        self.cycles += other.cycles;
-        for i in 0..2 {
-            self.committed[i] += other.committed[i];
-            self.committing_cycles[i] += other.committing_cycles[i];
-            self.stalled_cycles[i] += other.stalled_cycles[i];
-        }
-        self.offcore_outstanding_cycles += other.offcore_outstanding_cycles;
-        self.memory_cycles += other.memory_cycles;
-        self.l2_ifetch_stall_cycles += other.l2_ifetch_stall_cycles;
-        self.offcore_load_occupancy.merge_from(&other.offcore_load_occupancy);
-        self.branches += other.branches;
-        self.mispredicts += other.mispredicts;
-        self.rob_occupancy_sum += other.rob_occupancy_sum;
-        for (a, b) in self.per_thread_committed.iter_mut().zip(&other.per_thread_committed) {
-            *a += *b;
-        }
-    }
-
-    /// Serializes every counter — including the full occupancy histogram —
-    /// into `e` for checkpointing.
-    pub fn encode_snap(&self, e: &mut cs_trace::snap::Enc) {
-        e.u64(self.cycles);
-        for v in self.committed.iter().chain(&self.committing_cycles).chain(&self.stalled_cycles) {
-            e.u64(*v);
-        }
-        e.u64(self.offcore_outstanding_cycles);
-        e.u64(self.memory_cycles);
-        e.u64(self.l2_ifetch_stall_cycles);
-        let cap = self.offcore_load_occupancy.capacity();
-        e.len(cap);
-        for i in 0..cap {
-            e.u64(self.offcore_load_occupancy.count_at(i as u64));
-        }
-        e.u64(self.offcore_load_occupancy.overflow());
-        e.u64(self.branches);
-        e.u64(self.mispredicts);
-        e.u64(self.rob_occupancy_sum);
-        e.len(self.per_thread_committed.len());
-        for v in &self.per_thread_committed {
-            e.u64(*v);
-        }
-    }
-
-    /// Rebuilds counters from [`CoreStats::encode_snap`] bytes.
-    pub fn decode_snap(
-        d: &mut cs_trace::snap::Dec<'_>,
-    ) -> Result<Self, cs_trace::snap::SnapError> {
-        let read2 = |d: &mut cs_trace::snap::Dec<'_>| -> Result<[u64; 2], _> {
-            Ok([d.u64()?, d.u64()?])
-        };
-        let cycles = d.u64()?;
-        let committed = read2(d)?;
-        let committing_cycles = read2(d)?;
-        let stalled_cycles = read2(d)?;
-        let offcore_outstanding_cycles = d.u64()?;
-        let memory_cycles = d.u64()?;
-        let l2_ifetch_stall_cycles = d.u64()?;
-        let cap = d.len()?;
-        if cap == 0 {
-            return Err(cs_trace::snap::SnapError::Mismatch("empty histogram".into()));
-        }
-        let mut offcore_load_occupancy = Histogram::new(cap);
-        for i in 0..cap {
-            offcore_load_occupancy.record_n(i as u64, d.u64()?);
-        }
-        // Out-of-range values land in the overflow bucket by construction.
-        offcore_load_occupancy.record_n(cap as u64, d.u64()?);
-        let branches = d.u64()?;
-        let mispredicts = d.u64()?;
-        let rob_occupancy_sum = d.u64()?;
-        let n_threads = d.len()?;
-        let mut per_thread_committed = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            per_thread_committed.push(d.u64()?);
-        }
-        Ok(Self {
-            cycles,
-            committed,
-            committing_cycles,
-            stalled_cycles,
-            offcore_outstanding_cycles,
-            memory_cycles,
-            l2_ifetch_stall_cycles,
-            offcore_load_occupancy,
-            branches,
-            mispredicts,
-            rob_occupancy_sum,
-            per_thread_committed,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_trace::snap::{Codec, Merge};
 
     #[test]
     fn cycle_classes_partition_time() {
@@ -316,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_every_counter() {
+    fn merge_sums_every_counter() {
         let mut a = CoreStats::new(2, 4);
         a.cycles = 10;
         a.committed = [6, 1];
@@ -337,7 +234,7 @@ mod tests {
         b.branches = 4;
         b.mispredicts = 1;
         b.per_thread_committed = vec![9, 4];
-        a.absorb(&b);
+        a.merge_from(&b);
         assert_eq!(a.cycles, 30);
         assert_eq!(a.committed, [16, 4]);
         assert_eq!(a.instructions(), 20);
@@ -355,10 +252,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "thread-count mismatch")]
-    fn absorb_rejects_shape_mismatch() {
+    #[should_panic(expected = "length mismatch")]
+    fn merge_rejects_shape_mismatch() {
         let mut a = CoreStats::new(1, 4);
-        a.absorb(&CoreStats::new(2, 4));
+        a.merge_from(&CoreStats::new(2, 4));
     }
 
     #[test]

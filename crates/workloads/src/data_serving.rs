@@ -8,12 +8,11 @@
 //! sequential commit-log append), as in Cassandra's memtable/commit-log
 //! design.
 
-use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
+use crate::emit::{build_source, AppModel, DataRegion, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
 use cs_trace::ifoot::CodeProfile;
 use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
-use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
 use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
@@ -52,25 +51,23 @@ impl DataServing {
         }
     }
 
-    /// The code footprint, ILP structure and OS time this workload's
-    /// sources are built from.
+    /// Everything this workload's sources are built from besides the
+    /// application itself (see [`AppModel`]).
     pub fn model() -> AppModel {
         AppModel {
             code: CodeProfile::new(2560 * 1024, 0.84, 0.016),
             ilp: IlpModel::new(3.1, 0.25),
             os: OsProfile::network(0.22, 1280, 0.008),
+            fp_frac: 0.0,
+            scratch: DataRegion { bytes: 24 * 1024, frac: 0.34 },
+            warm: DataRegion { bytes: 128 * 1024, frac: 0.12 },
         }
     }
 
     /// Builds the trace source for one hardware thread, including the
     /// workload's OS time, bumping `meter` (if any) once per request.
     pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
-        let AppModel { code, ilp, os } = Self::model();
-        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
-            .with_scratch(24 * 1024, 0.34)
-            .with_warm(128 * 1024, 0.12);
-        let app = AppSource::new(DataServingApp::new(self, thread), ctx).with_meter(meter);
-        OsInterleaver::new(app, &os, ilp, thread, seed)
+        build_source(DataServingApp::new(self, thread), Self::model(), thread, seed, meter)
     }
 }
 
@@ -171,6 +168,7 @@ impl RequestApp for DataServingApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::AppSource;
     use cs_trace::profile::IlpModel;
 
     fn drive(n: usize) -> Vec<MicroOp> {

@@ -9,8 +9,8 @@
 //! else.
 //!
 //! [`AppSource`] adapts a request-generating application to the pull-based
-//! [`TraceSource`] interface, and applications are usually further wrapped
-//! in an [`cs_trace::synth::OsInterleaver`] for their kernel-mode time.
+//! [`TraceSource`] interface, and [`build_source`] wraps it in an
+//! [`OsInterleaver`] for the application's kernel-mode time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,13 +18,16 @@ use std::sync::Arc;
 use cs_trace::ifoot::{CodeProfile, CodeWalker};
 use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, stream_rng, GeometricTable, SmallRng};
+use cs_trace::synth::OsInterleaver;
 use cs_trace::{layout, MicroOp, OpKind, TraceSource};
 use std::collections::VecDeque;
 
-/// The calibrated instruction side of one mini application: the code
-/// footprint its [`EmitCtx`] walks, the ILP structure of its ops, and the
-/// kernel time its [`cs_trace::synth::OsInterleaver`] mixes in. Each
-/// application's `model()` is the one place these values live.
+/// The calibrated side of one mini application: the code footprint its
+/// [`EmitCtx`] walks, the ILP structure and compute mix of its ops, its
+/// per-thread scratch and warm regions, and the kernel time its
+/// [`OsInterleaver`] mixes in. Each application's `model()` is the one
+/// place these values live; [`build_source`] is the one place they are
+/// assembled into a trace source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppModel {
     /// Application code footprint.
@@ -33,6 +36,38 @@ pub struct AppModel {
     pub ilp: IlpModel,
     /// Operating-system involvement.
     pub os: OsProfile,
+    /// Fraction of compute ops that are floating point.
+    pub fp_frac: f64,
+    /// Per-thread scratch (stack/locals) region.
+    pub scratch: DataRegion,
+    /// Per-thread warm region (per-request state, tables).
+    pub warm: DataRegion,
+}
+
+/// A per-thread data region that [`EmitCtx::compute`] draws accesses from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DataRegion {
+    /// Region size in bytes.
+    pub bytes: u64,
+    /// Probability that a compute slot accesses the region.
+    pub frac: f64,
+}
+
+/// Builds one hardware thread's trace source for `app`: an [`EmitCtx`]
+/// from `model`, an [`AppSource`] bumping `meter` (if any) once per
+/// request, and the model's OS time interleaved on top.
+pub fn build_source<A: RequestApp>(
+    app: A,
+    model: AppModel,
+    thread: usize,
+    seed: u64,
+    meter: Option<RequestMeter>,
+) -> impl TraceSource {
+    let AppModel { code, ilp, os, fp_frac, scratch, warm } = model;
+    let ctx = EmitCtx::new(code, ilp, fp_frac, thread, seed)
+        .with_scratch(scratch.bytes, scratch.frac)
+        .with_warm(warm.bytes, warm.frac);
+    OsInterleaver::new(AppSource::new(app, ctx).with_meter(meter), &os, ilp, thread, seed)
 }
 
 /// How a load's address was produced.

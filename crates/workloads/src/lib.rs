@@ -27,7 +27,9 @@
 //! operating-system time is interleaved by
 //! [`cs_trace::synth::OsInterleaver`] — both substitutions documented in
 //! DESIGN.md. Each application's `model()` ([`emit::AppModel`]) is the one
-//! place its code footprint, ILP structure and OS time are declared.
+//! place its code footprint, ILP structure, compute mix, per-thread data
+//! regions and OS time are declared, and [`emit::build_source`] builds
+//! every application's trace source from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

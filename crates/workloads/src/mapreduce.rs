@@ -7,12 +7,11 @@
 //! documents are appended to a spill buffer. Input scanning is the one
 //! scale-out access stream simple prefetchers help (Figure 5).
 
-use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
+use crate::emit::{build_source, AppModel, DataRegion, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
 use cs_trace::ifoot::CodeProfile;
 use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{geometric, splitmix64};
-use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
 use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
@@ -45,25 +44,23 @@ impl MapReduce {
         }
     }
 
-    /// The code footprint, ILP structure and OS time this workload's
-    /// sources are built from.
+    /// Everything this workload's sources are built from besides the
+    /// application itself (see [`AppModel`]).
     pub fn model() -> AppModel {
         AppModel {
             code: CodeProfile::new(2048 * 1024, 0.85, 0.014),
             ilp: IlpModel::new(3.3, 0.22),
             os: OsProfile::network(0.16, 1024, 0.010),
+            fp_frac: 0.04,
+            scratch: DataRegion { bytes: 24 * 1024, frac: 0.32 },
+            warm: DataRegion { bytes: 192 * 1024, frac: 0.12 },
         }
     }
 
     /// Builds the trace source for one hardware thread (one map task),
     /// bumping `meter` (if any) once per request.
     pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
-        let AppModel { code, ilp, os } = Self::model();
-        let ctx = EmitCtx::new(code, ilp, 0.04, thread, seed)
-            .with_scratch(24 * 1024, 0.32)
-            .with_warm(192 * 1024, 0.12);
-        let app = AppSource::new(MapTask::new(self, thread), ctx).with_meter(meter);
-        OsInterleaver::new(app, &os, ilp, thread, seed)
+        build_source(MapTask::new(self, thread), Self::model(), thread, seed, meter)
     }
 }
 
@@ -148,6 +145,7 @@ impl RequestApp for MapTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::AppSource;
     use cs_trace::profile::IlpModel;
 
     fn source() -> AppSource<MapTask> {

@@ -8,12 +8,11 @@
 //! counters create the small application-level read-write sharing §4.4
 //! calls out.
 
-use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
+use crate::emit::{build_source, AppModel, DataRegion, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
 use cs_trace::ifoot::CodeProfile;
 use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
-use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
 use cs_trace::{layout, MicroOp, TraceSource};
 use std::collections::VecDeque;
@@ -46,25 +45,23 @@ impl MediaStreaming {
         }
     }
 
-    /// The code footprint, ILP structure and OS time this workload's
-    /// sources are built from.
+    /// Everything this workload's sources are built from besides the
+    /// application itself (see [`AppModel`]).
     pub fn model() -> AppModel {
         AppModel {
             code: CodeProfile::new(1536 * 1024, 0.85, 0.012),
             ilp: IlpModel::new(2.8, 0.25),
             os: OsProfile::network(0.30, 1536, 0.030),
+            fp_frac: 0.0,
+            scratch: DataRegion { bytes: 16 * 1024, frac: 0.34 },
+            warm: DataRegion { bytes: 96 * 1024, frac: 0.14 },
         }
     }
 
     /// Builds the trace source for one hardware thread, bumping `meter`
     /// (if any) once per request.
     pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
-        let AppModel { code, ilp, os } = Self::model();
-        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
-            .with_scratch(16 * 1024, 0.34)
-            .with_warm(96 * 1024, 0.14);
-        let app = AppSource::new(StreamingServer::new(self, thread, seed), ctx).with_meter(meter);
-        OsInterleaver::new(app, &os, ilp, thread, seed)
+        build_source(StreamingServer::new(self, thread, seed), Self::model(), thread, seed, meter)
     }
 }
 
@@ -172,6 +169,7 @@ impl RequestApp for StreamingServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::AppSource;
     use cs_trace::profile::IlpModel;
 
     fn source(thread: usize) -> AppSource<StreamingServer> {

@@ -9,12 +9,11 @@
 //! fresh one (the paper reuses input traces for run-to-run comparability;
 //! we reuse the generator seed).
 
-use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
+use crate::emit::{build_source, AppModel, DataRegion, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
 use cs_trace::ifoot::CodeProfile;
 use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{splitmix64, SmallRng};
-use cs_trace::synth::OsInterleaver;
 use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
 
@@ -38,13 +37,16 @@ impl SatSolver {
         Self { n_vars: 320, clause_ratio: 3.9, shard_bytes: 1 << 20, learned_bytes: 512 << 20 }
     }
 
-    /// The code footprint, ILP structure and OS time this workload's
-    /// sources are built from.
+    /// Everything this workload's sources are built from besides the
+    /// application itself (see [`AppModel`]).
     pub fn model() -> AppModel {
         AppModel {
             code: CodeProfile::new(1024 * 1024, 0.88, 0.02),
             ilp: IlpModel::new(3.5, 0.14),
             os: OsProfile::network(0.04, 512, 0.010),
+            fp_frac: 0.0,
+            scratch: DataRegion { bytes: 32 * 1024, frac: 0.36 },
+            warm: DataRegion { bytes: 160 * 1024, frac: 0.12 },
         }
     }
 
@@ -52,12 +54,7 @@ impl SatSolver {
     /// process; SAT Solver runs one independent instance per core),
     /// bumping `meter` (if any) once per request.
     pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
-        let AppModel { code, ilp, os } = Self::model();
-        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
-            .with_scratch(32 * 1024, 0.36)
-            .with_warm(160 * 1024, 0.12);
-        let app = AppSource::new(Dpll::new(self, thread, seed), ctx).with_meter(meter);
-        OsInterleaver::new(app, &os, ilp, thread, seed)
+        build_source(Dpll::new(self, thread, seed), Self::model(), thread, seed, meter)
     }
 }
 
@@ -301,6 +298,7 @@ impl RequestApp for Dpll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::AppSource;
     use cs_trace::profile::IlpModel;
 
     fn source() -> AppSource<Dpll> {

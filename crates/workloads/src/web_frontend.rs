@@ -7,12 +7,11 @@
 //! interpreter's locals stay hot (the highest scale-out IPC in Figure 3)
 //! and requests perform a single dependent descent each (the lowest MLP).
 
-use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
+use crate::emit::{build_source, AppModel, DataRegion, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
 use cs_trace::ifoot::CodeProfile;
 use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
-use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
 use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
@@ -48,25 +47,23 @@ impl WebFrontend {
         }
     }
 
-    /// The code footprint, ILP structure and OS time this workload's
-    /// sources are built from.
+    /// Everything this workload's sources are built from besides the
+    /// application itself (see [`AppModel`]).
     pub fn model() -> AppModel {
         AppModel {
             code: CodeProfile::new(3584 * 1024, 0.90, 0.012),
             ilp: IlpModel::new(3.7, 0.40),
             os: OsProfile::network(0.22, 1536, 0.015),
+            fp_frac: 0.0,
+            scratch: DataRegion { bytes: 48 * 1024, frac: 0.38 },
+            warm: DataRegion { bytes: 224 * 1024, frac: 0.12 },
         }
     }
 
     /// Builds the trace source for one hardware thread, bumping `meter`
     /// (if any) once per request.
     pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
-        let AppModel { code, ilp, os } = Self::model();
-        let ctx = EmitCtx::new(code, ilp, 0.0, thread, seed)
-            .with_scratch(48 * 1024, 0.38)
-            .with_warm(224 * 1024, 0.12);
-        let app = AppSource::new(Frontend::new(self, thread), ctx).with_meter(meter);
-        OsInterleaver::new(app, &os, ilp, thread, seed)
+        build_source(Frontend::new(self, thread), Self::model(), thread, seed, meter)
     }
 }
 
@@ -169,6 +166,7 @@ impl RequestApp for Frontend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::AppSource;
     use cs_trace::profile::IlpModel;
 
     fn source() -> AppSource<Frontend> {

@@ -7,12 +7,11 @@
 //! into a top-k heap. Requests are handled independently, one per thread,
 //! without inter-thread communication (§2.2).
 
-use crate::emit::{AppModel, AppSource, Dep, EmitCtx, RequestApp, RequestMeter};
+use crate::emit::{build_source, AppModel, DataRegion, Dep, EmitCtx, RequestApp, RequestMeter};
 use crate::heap::SimHeap;
 use cs_trace::ifoot::CodeProfile;
 use cs_trace::profile::{IlpModel, OsProfile};
 use cs_trace::rng::{chance, splitmix64};
-use cs_trace::synth::OsInterleaver;
 use cs_trace::zipf::Zipf;
 use cs_trace::{MicroOp, TraceSource};
 use std::collections::VecDeque;
@@ -46,25 +45,23 @@ impl WebSearch {
         }
     }
 
-    /// The code footprint, ILP structure and OS time this workload's
-    /// sources are built from.
+    /// Everything this workload's sources are built from besides the
+    /// application itself (see [`AppModel`]).
     pub fn model() -> AppModel {
         AppModel {
             code: CodeProfile::new(2560 * 1024, 0.88, 0.012),
             ilp: IlpModel::new(3.8, 0.20),
             os: OsProfile::network(0.12, 1024, 0.012),
+            fp_frac: 0.02,
+            scratch: DataRegion { bytes: 32 * 1024, frac: 0.36 },
+            warm: DataRegion { bytes: 160 * 1024, frac: 0.12 },
         }
     }
 
     /// Builds the trace source for one hardware thread, bumping `meter`
     /// (if any) once per request.
     pub fn into_source(self, thread: usize, seed: u64, meter: Option<RequestMeter>) -> impl TraceSource {
-        let AppModel { code, ilp, os } = Self::model();
-        let ctx = EmitCtx::new(code, ilp, 0.02, thread, seed)
-            .with_scratch(32 * 1024, 0.36)
-            .with_warm(160 * 1024, 0.12);
-        let app = AppSource::new(IndexNode::new(self), ctx).with_meter(meter);
-        OsInterleaver::new(app, &os, ilp, thread, seed)
+        build_source(IndexNode::new(self), Self::model(), thread, seed, meter)
     }
 }
 
@@ -192,6 +189,7 @@ impl RequestApp for IndexNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::AppSource;
     use cs_trace::profile::IlpModel;
 
     fn source() -> AppSource<IndexNode> {
