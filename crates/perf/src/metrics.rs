@@ -372,6 +372,16 @@ mod tests {
     }
 
     #[test]
+    fn histogram_decode_rejects_zero_capacity() {
+        use cs_trace::snap::{Codec, Dec, Enc};
+        let mut e = Enc::new();
+        e.len(0); // no buckets
+        e.u64(5); // overflow
+        let got = Histogram::decode_snap(&mut Dec::new(&e.buf));
+        assert!(matches!(got, Err(SnapError::Mismatch(_))), "{got:?}");
+    }
+
+    #[test]
     #[should_panic(expected = "bucket")]
     fn histogram_rejects_zero_capacity() {
         let _ = Histogram::new(0);
