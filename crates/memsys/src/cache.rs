@@ -12,10 +12,16 @@
 //! (LRU clock values) and `metas` — rather than one array of way
 //! records. Set `s` occupies indices `s * assoc..(s + 1) * assoc` of each
 //! array, and that global index is the "way" handed out by
-//! [`Cache::probe`] and taken by [`Cache::way_holds`] and
-//! [`Cache::touch_way`]. A tag match reads only the set's tags (two host
-//! cache lines for a 16-way set), and the stamps are read only when a
-//! fill has to pick an LRU victim.
+//! [`Cache::lookup`] and [`Cache::fill_masked`] and taken by
+//! [`Cache::way_holds`] and [`Cache::touch_way`]. A tag match reads only
+//! the set's tags (two host cache lines for a 16-way set), and the
+//! stamps are read only when a fill has to pick an LRU victim.
+//!
+//! The tag match and the LRU victim pick run through fixed-width
+//! kernels for the associativities the machine uses (4, 8 and 16 ways),
+//! chosen by a `match` on the set width, so each compiles to a fixed
+//! branch-free sequence without a loop; any other width takes a
+//! run-time-length loop.
 //!
 //! An empty way holds the tag `EMPTY` (`u64::MAX`), which no line
 //! address can take (line addresses are byte addresses `>> 6`), so there
@@ -170,16 +176,51 @@ pub struct Evicted {
     pub meta: LineMeta,
 }
 
-/// Bit `i` set for each way `i` of `tags` that stores `key`. Compares
-/// every way, without an early exit, so the loop has no data-dependent
-/// branch.
-#[inline]
-fn match_bits(tags: &[u64], key: u64) -> u64 {
-    let mut bits = 0;
+/// The two masks one pass over a set's stored tags yields: bit `i` of
+/// the first is set when way `i` stores `key`, bit `i` of the second
+/// when way `i` is empty. Compares every way, without an early exit, so
+/// the loop has no data-dependent branch; a caller that reads only the
+/// first mask pays only for it once this is inlined.
+#[inline(always)]
+fn scan(tags: &[u64], key: u64) -> (u64, u64) {
+    let (mut hits, mut free) = (0u64, 0u64);
     for (i, &tag) in tags.iter().enumerate() {
-        bits |= u64::from(tag == key) << i;
+        hits |= u64::from(tag == key) << i;
+        free |= u64::from(tag == !EMPTY) << i;
     }
-    bits
+    (hits, free)
+}
+
+/// [`scan`] over exactly `N` ways: with the width a constant, the loop
+/// unrolls completely, with no prologue, variable shift or tail.
+#[inline(always)]
+fn scan_fixed<const N: usize>(tags: &[u64], key: u64) -> (u64, u64) {
+    let tags: &[u64; N] = tags.try_into().expect("set width matches the kernel");
+    scan(tags, key)
+}
+
+/// The first way among `allowed` (non-empty, all full) with the oldest
+/// stamp, in two branch-free passes: the minimum stamp with every
+/// disallowed way read as `u64::MAX` (no tick reaches it), then the
+/// lowest allowed way holding that minimum.
+#[inline(always)]
+fn oldest(stamps: &[u64], allowed: u64) -> usize {
+    let mut min = u64::MAX;
+    for (i, &stamp) in stamps.iter().enumerate() {
+        min = min.min(if allowed >> i & 1 != 0 { stamp } else { u64::MAX });
+    }
+    let mut at = 0u64;
+    for (i, &stamp) in stamps.iter().enumerate() {
+        at |= u64::from(stamp == min) << i;
+    }
+    (at & allowed).trailing_zeros() as usize
+}
+
+/// [`oldest`] over exactly `N` ways, unrolled like [`scan_fixed`].
+#[inline(always)]
+fn oldest_fixed<const N: usize>(stamps: &[u64], allowed: u64) -> usize {
+    let stamps: &[u64; N] = stamps.try_into().expect("set width matches the kernel");
+    oldest(stamps, allowed)
 }
 
 impl Cache {
@@ -236,30 +277,40 @@ impl Cache {
         self.set_index.index(line) as usize * self.assoc
     }
 
+    /// [`scan`] over the set whose first way is `base`, through a
+    /// fixed-width kernel for the widths the machine uses — 4 (the TLBs),
+    /// 8 (L1 and L2) and 16 (the LLC) — and the run-time-width loop for
+    /// any other.
+    #[inline(always)]
+    fn scan_set(&self, base: usize, key: u64) -> (u64, u64) {
+        let tags = &self.tags[base..base + self.assoc];
+        match self.assoc {
+            4 => scan_fixed::<4>(tags, key),
+            8 => scan_fixed::<8>(tags, key),
+            16 => scan_fixed::<16>(tags, key),
+            _ => scan(tags, key),
+        }
+    }
+
     /// Global way index of `line`, if present.
     #[inline]
     fn find(&self, line: u64) -> Option<usize> {
         debug_assert_ne!(line, EMPTY, "the empty-way tag is not a line address");
         let base = self.set_base(line);
-        let hits = match_bits(&self.tags[base..base + self.assoc], !line);
+        let (hits, _) = self.scan_set(base, !line);
         debug_assert!(hits.count_ones() <= 1, "line {line:#x} is resident twice in one set");
         (hits != 0).then(|| base + hits.trailing_zeros() as usize)
     }
 
-    /// Looks up `line`; on a hit, touches LRU state and returns the
-    /// metadata (mutable so the caller can update coherence bits).
+    /// Looks up `line`; on a hit, touches LRU state and returns its way
+    /// index and metadata (mutable so the caller can update coherence
+    /// bits).
     #[inline]
-    pub fn lookup(&mut self, line: u64) -> Option<&mut LineMeta> {
+    pub fn lookup(&mut self, line: u64) -> Option<(usize, &mut LineMeta)> {
         self.tick += 1;
         let way = self.find(line)?;
         self.stamps[way] = self.tick;
-        Some(&mut self.metas[way])
-    }
-
-    /// Way index and metadata of `line`, if present, without touching LRU
-    /// state.
-    pub fn probe(&self, line: u64) -> Option<(usize, &LineMeta)> {
-        self.find(line).map(|way| (way, &self.metas[way]))
+        Some((way, &mut self.metas[way]))
     }
 
     /// Metadata of `line` if — and only if — it currently sits at `way`,
@@ -291,9 +342,10 @@ impl Cache {
 
     /// Installs `line` with `meta`, evicting the LRU way if the set is
     /// full. If the line is already present its metadata is replaced (no
-    /// eviction). Returns the victim, if one was evicted.
+    /// eviction). Returns the way the line now occupies and the victim,
+    /// if one was evicted.
     #[inline]
-    pub fn fill(&mut self, line: u64, meta: LineMeta) -> Option<Evicted> {
+    pub fn fill(&mut self, line: u64, meta: LineMeta) -> (usize, Option<Evicted>) {
         self.fill_masked(line, meta, u64::MAX)
     }
 
@@ -315,20 +367,19 @@ impl Cache {
     /// Panics if `mask` selects none of the set's ways — a mask that can
     /// never allocate is a configuration error the caller must reject.
     #[inline]
-    pub fn fill_masked(&mut self, line: u64, meta: LineMeta, mask: u64) -> Option<Evicted> {
+    pub fn fill_masked(
+        &mut self,
+        line: u64,
+        meta: LineMeta,
+        mask: u64,
+    ) -> (usize, Option<Evicted>) {
         debug_assert_ne!(line, EMPTY, "the empty-way tag is not a line address");
         self.tick += 1;
         let tick = self.tick;
         let base = self.set_base(line);
-        let set = &self.tags[base..base + self.assoc];
         // One pass over the tags finds both the resident way and the
         // free ways.
-        let mut hits = 0u64;
-        let mut free = 0u64;
-        for (i, &tag) in set.iter().enumerate() {
-            hits |= u64::from(tag == !line) << i;
-            free |= u64::from(tag == !EMPTY) << i;
-        }
+        let (hits, free) = self.scan_set(base, !line);
 
         // Already present: refresh (in place, mask not consulted).
         if hits != 0 {
@@ -336,7 +387,7 @@ impl Cache {
             let old = std::mem::replace(&mut self.metas[way], meta);
             self.stamps[way] = tick;
             self.retag(Some(old.tenant), meta.tenant);
-            return None;
+            return (way, None);
         }
         let allowed = mask & (u64::MAX >> (64 - self.assoc));
         // Free way among the allowed ways: the lowest-numbered one.
@@ -345,31 +396,22 @@ impl Cache {
             (base + free.trailing_zeros() as usize, None)
         } else {
             // Evict LRU among the allowed ways: the first minimum stamp.
-            // Every allowed way's metadata is read beside its stamp, so
-            // the victim's metadata load, which would otherwise wait for
-            // the stamp comparisons, overlaps the stamp loads.
             assert!(allowed != 0, "way mask selects no ways");
             let stamps = &self.stamps[base..base + self.assoc];
-            let metas = &self.metas[base..base + self.assoc];
-            let first = allowed.trailing_zeros() as usize;
-            let (mut victim, mut oldest, mut victim_meta) = (first, stamps[first], metas[first]);
-            let mut rest = allowed & (allowed - 1);
-            while rest != 0 {
-                let i = rest.trailing_zeros() as usize;
-                let older = stamps[i] < oldest;
-                victim = if older { i } else { victim };
-                oldest = if older { stamps[i] } else { oldest };
-                victim_meta = if older { metas[i] } else { victim_meta };
-                rest &= rest - 1;
-            }
+            let victim = match self.assoc {
+                4 => oldest_fixed::<4>(stamps, allowed),
+                8 => oldest_fixed::<8>(stamps, allowed),
+                16 => oldest_fixed::<16>(stamps, allowed),
+                _ => oldest(stamps, allowed),
+            };
             let way = base + victim;
-            (way, Some(Evicted { line: !self.tags[way], meta: victim_meta }))
+            (way, Some(Evicted { line: !self.tags[way], meta: self.metas[way] }))
         };
         self.tags[way] = !line;
         self.stamps[way] = tick;
         self.metas[way] = meta;
         self.retag(evicted.map(|e| e.meta.tenant), meta.tenant);
-        evicted
+        (way, evicted)
     }
 
     /// Removes `line`, returning its metadata if it was present.
@@ -453,7 +495,7 @@ impl Cache {
                 return Err(SnapError::Mismatch(format!("way {i} holds the empty-way tag")));
             }
             let base = i - i % self.assoc;
-            if match_bits(&self.tags[base..base + self.assoc], !tag) != 0 {
+            if scan(&self.tags[base..base + self.assoc], !tag).0 != 0 {
                 return Err(SnapError::Mismatch(format!(
                     "line {tag:#x} restored twice into set {}",
                     i / self.assoc
@@ -486,7 +528,7 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = Cache::new(4, 2);
         assert!(c.lookup(0x100).is_none());
-        assert!(c.fill(0x100, LineMeta::clean()).is_none());
+        assert!(c.fill(0x100, LineMeta::clean()).1.is_none());
         assert!(c.lookup(0x100).is_some());
         assert!(c.peek(0x100).is_some());
     }
@@ -498,7 +540,7 @@ mod tests {
         c.fill(2, LineMeta::clean());
         // Touch 1 so 2 becomes LRU.
         assert!(c.lookup(1).is_some());
-        let ev = c.fill(3, LineMeta::clean()).expect("set is full");
+        let ev = c.fill(3, LineMeta::clean()).1.expect("set is full");
         assert_eq!(ev.line, 2);
         assert!(c.peek(1).is_some());
         assert!(c.peek(2).is_none());
@@ -511,7 +553,7 @@ mod tests {
         c.fill(7, LineMeta::clean());
         let mut dirty = LineMeta::clean();
         dirty.dirty = true;
-        assert!(c.fill(7, dirty).is_none());
+        assert!(c.fill(7, dirty).1.is_none());
         assert!(c.peek(7).expect("present").dirty);
     }
 
@@ -554,7 +596,7 @@ mod tests {
         c.fill(2, LineMeta::clean());
         // Peek at 1 (no LRU update): 1 is still LRU and must be evicted.
         assert!(c.peek(1).is_some());
-        let ev = c.fill(3, LineMeta::clean()).expect("full");
+        let ev = c.fill(3, LineMeta::clean()).1.expect("full");
         assert_eq!(ev.line, 1);
     }
 
@@ -571,7 +613,7 @@ mod tests {
         c.fill(3, LineMeta::clean()); // same set as 0 under mod 3
         assert!(c.peek(0).is_none());
         assert!(c.peek(3).is_some());
-        assert!(c.fill(1, LineMeta::clean()).is_none()); // different set
+        assert!(c.fill(1, LineMeta::clean()).1.is_none()); // different set
     }
 
     #[test]
@@ -634,7 +676,7 @@ mod tests {
         // never more than two tenant-0 lines resident.
         assert_eq!(c.tenant_lines(0), 2);
         for line in [20, 21, 22, 23] {
-            let ev = c.fill_masked(line, t1, 0b1100);
+            let (_, ev) = c.fill_masked(line, t1, 0b1100);
             // Tenant 1 evictions only ever hit tenant-1 lines.
             if let Some(ev) = ev {
                 assert_eq!(ev.meta.tenant, 1, "cross-tenant eviction of line {}", ev.line);
@@ -652,7 +694,7 @@ mod tests {
         // place — hits are not partitioned, only allocations.
         let mut dirty = LineMeta::clean();
         dirty.dirty = true;
-        assert!(c.fill_masked(5, dirty, 0b10).is_none());
+        assert!(c.fill_masked(5, dirty, 0b10).1.is_none());
         assert_eq!(c.valid_lines(), 1);
         assert!(c.peek(5).expect("present").dirty);
     }
@@ -696,12 +738,12 @@ mod tests {
         check(&c);
         assert_eq!((c.tenant_lines(1), c.tenant_lines(2), c.valid_lines()), (2, 1, 3));
         // Set 0 is full: tenant 3 evicts tenant 1's LRU line 0.
-        let ev = c.fill(4, tagged(3)).expect("set 0 full");
+        let ev = c.fill(4, tagged(3)).1.expect("set 0 full");
         assert_eq!((ev.line, ev.meta.tenant), (0, 1));
         check(&c);
         assert_eq!((c.tenant_lines(1), c.tenant_lines(3)), (1, 1));
         // An in-place refill moves the line to the refilling tenant.
-        assert!(c.fill(1, tagged(3)).is_none());
+        assert!(c.fill(1, tagged(3)).1.is_none());
         check(&c);
         assert_eq!((c.tenant_lines(2), c.tenant_lines(3), c.valid_lines()), (0, 2, 3));
         assert!(c.invalidate(4).is_some());
@@ -884,8 +926,9 @@ mod tests {
     }
 
     /// Drives `c` and `m` with `ops` random operations from the
-    /// splitmix64 stream at `*state`, comparing every return value and,
-    /// every 256 operations, the snapshot bytes.
+    /// splitmix64 stream at `*state`, comparing every return value (the
+    /// way a lookup or fill reports against where the model finds the
+    /// line) and, every 256 operations, the snapshot bytes.
     fn drive(c: &mut Cache, m: &mut Model, state: &mut u64, ops: usize) {
         use cs_trace::rng::splitmix64;
         let mut draw = || {
@@ -912,7 +955,12 @@ mod tests {
                 tenant,
             };
             match r % 10 {
-                0 => assert_eq!(c.lookup(line).copied(), m.lookup(line), "lookup {line}"),
+                0 | 3 => {
+                    let want = m.lookup(line);
+                    let got = c.lookup(line).map(|(i, meta)| (i, *meta));
+                    assert_eq!(got.map(|(_, meta)| meta), want, "lookup {line}");
+                    assert_eq!(got.map(|(i, _)| i), m.find(line), "lookup way {line}");
+                }
                 1 => assert_eq!(c.peek(line).copied(), m.find(line).map(|i| m.ways[i].meta)),
                 2 => {
                     let i = m.find(line);
@@ -925,10 +973,6 @@ mod tests {
                         m.ways[i].meta.sharers ^= meta.sharers;
                     }
                 }
-                3 => {
-                    let want = m.find(line).map(|i| (i, m.ways[i].meta));
-                    assert_eq!(c.probe(line).map(|(i, meta)| (i, *meta)), want, "probe {line}");
-                }
                 4 => {
                     // Half the time ask about the line the way really holds.
                     let line = if r & 1 << 28 != 0 { m.ways[way].tag } else { line };
@@ -939,7 +983,11 @@ mod tests {
                     c.touch_way(way);
                     m.touch_way(way);
                 }
-                6 => assert_eq!(c.fill(line, meta), m.fill_masked(line, meta, u64::MAX)),
+                6 => {
+                    let (i, evicted) = c.fill(line, meta);
+                    assert_eq!(evicted, m.fill_masked(line, meta, u64::MAX), "fill {line}");
+                    assert_eq!(Some(i), m.find(line), "fill way {line}");
+                }
                 7 | 8 => {
                     // A tenant's partial mask, or random bits (some above
                     // the associativity) with one in-range way forced on.
@@ -949,7 +997,9 @@ mod tests {
                         draw() | 1 << (line % m.assoc as u64)
                     };
                     let want = m.fill_masked(line, meta, mask);
-                    assert_eq!(c.fill_masked(line, meta, mask), want, "fill_masked {line}");
+                    let (i, evicted) = c.fill_masked(line, meta, mask);
+                    assert_eq!(evicted, want, "fill_masked {line}");
+                    assert_eq!(Some(i), m.find(line), "fill_masked way {line}");
                 }
                 _ => assert_eq!(c.invalidate(line), m.invalidate(line), "invalidate {line}"),
             }
@@ -965,7 +1015,9 @@ mod tests {
     #[test]
     fn matches_the_way_record_reference_model() {
         let mut state = 0x5EED_CAC4_E000_0000;
-        for (sets, assoc) in [(1, 1), (4, 2), (3, 8), (12, 16)] {
+        // Every fixed-width kernel (4, 8, 16 ways) and the run-time-width
+        // loop (1, 2, 12 ways).
+        for (sets, assoc) in [(1, 1), (4, 2), (5, 4), (3, 8), (2, 12), (12, 16)] {
             let mut c = Cache::new(sets, assoc);
             let mut m = Model::new(sets, assoc);
             drive(&mut c, &mut m, &mut state, 6_000);

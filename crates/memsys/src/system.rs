@@ -127,6 +127,10 @@ pub struct MemorySystem {
     warm_data: Vec<Box<[WarmMemo]>>,
     /// Instruction-side memo table; see `warm_data`.
     warm_instr: Vec<Box<[WarmMemo]>>,
+    /// Warm accesses a memo replayed instead of walking, data side then
+    /// instruction side: a count of host work, not simulated state, so
+    /// it is never serialized.
+    warm_replays: (u64, u64),
     /// Tenant id of each core (all `0` unless the harness co-locates
     /// workloads). Configuration-like — set once before simulation by
     /// [`MemorySystem::set_tenant`] on both the fresh and the restore
@@ -155,6 +159,25 @@ struct WarmMemo {
 
 impl WarmMemo {
     const EMPTY: Self = Self { line: u64::MAX, l1_way: 0, tlb_way: 0, tenant: 0 };
+
+    /// The memo of `line` at the ways a walk reported, under `tenant`.
+    /// Way indices fit in `u32`: a cache's ways are allocated up front.
+    #[allow(clippy::cast_possible_truncation)]
+    fn at(line: u64, ways: WalkWays, tenant: u8) -> Self {
+        Self { line, l1_way: ways.l1 as u32, tlb_way: ways.tlb as u32, tenant }
+    }
+}
+
+/// Where a demand walk left what it accessed: the L1 way it hit or
+/// filled the line at, and the first-level-TLB way it hit or filled the
+/// page at — the two ways a [`WarmMemo`] records. The page stays at its
+/// TLB way for the rest of the walk, but a later step of the walk (a
+/// prefetch fill, an inclusive back-invalidation) may evict the line, so
+/// the L1 way is checked with [`Cache::way_holds`] before it is used.
+#[derive(Debug, Clone, Copy)]
+struct WalkWays {
+    l1: usize,
+    tlb: usize,
 }
 
 /// Entries per warm-memo table. Power of two (the index is a mask of the
@@ -192,6 +215,7 @@ impl MemorySystem {
             warm_instr: (0..n_cores)
                 .map(|_| vec![WarmMemo::EMPTY; WARM_MEMO_SLOTS].into_boxed_slice())
                 .collect(),
+            warm_replays: (0, 0),
             tenants: vec![0; n_cores],
             regulator: cfg
                 .qos
@@ -482,12 +506,26 @@ impl MemorySystem {
         1 << (core % self.cfg.cores_per_socket)
     }
 
-    /// Iterates global core ids of socket `socket` selected by `mask`.
-    fn cores_in_mask(&self, socket: usize, mask: u16) -> impl Iterator<Item = usize> {
-        let base = socket * self.cfg.cores_per_socket;
-        let n = self.n_cores;
-        let cps = self.cfg.cores_per_socket;
-        (0..cps).filter(move |i| mask & (1 << i) != 0).map(move |i| base + i).filter(move |c| *c < n)
+    /// Iterates, in ascending order, the global ids of the cores of
+    /// socket `socket` whose socket-local bits are set in `mask`, among
+    /// `n_cores` cores of `cores_per_socket` per socket. Borrows nothing,
+    /// so a caller can mutate the caches while it walks the sharers.
+    fn cores_in_mask(
+        cores_per_socket: usize,
+        n_cores: usize,
+        socket: usize,
+        mask: u16,
+    ) -> impl Iterator<Item = usize> {
+        let base = socket * cores_per_socket;
+        let mut rest = mask & (u16::MAX >> (16 - cores_per_socket));
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let core = base + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            (core < n_cores).then_some(core)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -519,11 +557,12 @@ impl MemorySystem {
                 self.tlbs[core].touch_itlb(m.tlb_way as usize);
                 self.l1i[core].touch_way(m.l1_way as usize);
                 self.stats.per_core[core].l1i.record(AccessClass::new(true, privilege), true);
+                self.warm_replays.1 += 1;
                 return;
             }
         }
         self.warming = true;
-        let _ = self.ifetch(core, privilege, addr, now);
+        let (_, ways) = self.ifetch_walk(core, privilege, addr, now);
         self.warming = false;
         // Record a memo wherever the line now sits in L1 — after pure L1
         // hits AND after walks that just filled it (the repeat-after-L2-hit
@@ -531,16 +570,13 @@ impl MemorySystem {
         // its *second* touch instead of its third). Safe at any service
         // level because every premise is revalidated against live state at
         // replay time; an entry the fill path made invalid (say, a
-        // prefetched flag) just falls back to the walk.
-        if let (Some((way, _)), Some(tway)) =
-            (self.l1i[core].probe(line), self.tlbs[core].itlb_way_of(addr >> 12))
-        {
-            self.warm_instr[core][slot] = WarmMemo {
-                line,
-                l1_way: way as u32,
-                tlb_way: tway as u32,
-                tenant: self.tenants[core],
-            };
+        // prefetched flag) just falls back to the walk. The walk reports
+        // both ways, so recording scans no set: the line is recorded only
+        // if it still sits at the way the walk hit or filled (a prefetch
+        // later in the walk may have evicted it, and nothing in the walk
+        // re-fills it elsewhere).
+        if self.l1i[core].way_holds(ways.l1, line).is_some() {
+            self.warm_instr[core][slot] = WarmMemo::at(line, ways, self.tenants[core]);
         }
     }
 
@@ -585,24 +621,18 @@ impl MemorySystem {
                 self.tlbs[core].touch_dtlb(m.tlb_way as usize);
                 self.l1d[core].touch_way(m.l1_way as usize);
                 self.stats.per_core[core].l1d.record(AccessClass::new(false, privilege), true);
+                self.warm_replays.0 += 1;
                 return;
             }
         }
         self.warming = true;
-        let _ = self.data_access(core, privilege, addr, is_store, pc, now);
+        let (_, ways) = self.data_walk(core, privilege, addr, is_store, pc, now);
         self.warming = false;
-        // Widened like `ifetch_warm`: memoize after fills too, not only
-        // pure L1 hits — replay-time revalidation (including the
-        // writable-and-dirty premise for stores) keeps it sound.
-        if let (Some((way, _)), Some(dway)) =
-            (self.l1d[core].probe(line), self.tlbs[core].dtlb_way_of(addr >> 12))
-        {
-            self.warm_data[core][slot] = WarmMemo {
-                line,
-                l1_way: way as u32,
-                tlb_way: dway as u32,
-                tenant: self.tenants[core],
-            };
+        // Widened and recorded like `ifetch_warm`: memoize after fills
+        // too, not only pure L1 hits — replay-time revalidation (including
+        // the writable-and-dirty premise for stores) keeps it sound.
+        if self.l1d[core].way_holds(ways.l1, line).is_some() {
+            self.warm_data[core][slot] = WarmMemo::at(line, ways, self.tenants[core]);
         }
     }
 
@@ -645,11 +675,23 @@ impl MemorySystem {
 
     /// Performs an instruction fetch of the line containing `addr`.
     pub fn ifetch(&mut self, core: usize, privilege: Privilege, addr: u64, now: u64) -> FetchOutcome {
+        self.ifetch_walk(core, privilege, addr, now).0
+    }
+
+    /// [`MemorySystem::ifetch`], also reporting the L1-I and ITLB ways
+    /// the walk left the line and its page at.
+    fn ifetch_walk(
+        &mut self,
+        core: usize,
+        privilege: Privilege,
+        addr: u64,
+        now: u64,
+    ) -> (FetchOutcome, WalkWays) {
         let line = addr >> 6;
         let class = AccessClass::new(true, privilege);
 
         // ITLB.
-        let tlb_outcome = self.tlbs[core].translate_instr(addr >> 12);
+        let (tlb_outcome, tlb_way) = self.tlbs[core].translate_instr(addr >> 12);
         let tlb_pen = self.tlbs[core].penalty(tlb_outcome);
         let (mut itlb_stall, mut stlb_stall) = (0, 0);
         match tlb_outcome {
@@ -668,27 +710,28 @@ impl MemorySystem {
         }
 
         // L1-I.
-        let mut hit = false;
-        if let Some(meta) = self.l1i[core].lookup(line) {
-            hit = true;
+        let mut hit_way = None;
+        if let Some((way, meta)) = self.l1i[core].lookup(line) {
+            hit_way = Some(way);
             if meta.prefetched {
                 meta.prefetched = false;
                 self.stats.per_core[core].prefetch.useful_l1i += 1;
             }
         }
-        self.stats.per_core[core].l1i.record(class, hit);
-        if hit {
-            return FetchOutcome {
+        self.stats.per_core[core].l1i.record(class, hit_way.is_some());
+        if let Some(l1) = hit_way {
+            let outcome = FetchOutcome {
                 latency: self.cfg.l1i.latency + tlb_pen,
                 level: ServiceLevel::L1,
                 offcore: false,
                 itlb_stall,
                 stlb_stall,
             };
+            return (outcome, WalkWays { l1, tlb: tlb_way });
         }
 
         let (lat, level, _) = self.access_l2(core, privilege, true, false, line, addr, now, false);
-        self.fill_l1(core, true, line, false, false, now);
+        let l1 = self.fill_l1(core, true, line, false, false, now);
 
         // Next-line instruction prefetch on the L1-I miss (degree 2: the
         // frontend runs ahead of sequential fetch within a function, but
@@ -700,13 +743,14 @@ impl MemorySystem {
             self.prefetch_line(core, privilege, true, next_line(next_line(line)), now, true);
         }
 
-        FetchOutcome {
+        let outcome = FetchOutcome {
             latency: lat + tlb_pen,
             level,
             offcore: level.is_offcore(),
             itlb_stall,
             stlb_stall,
-        }
+        };
+        (outcome, WalkWays { l1, tlb: tlb_way })
     }
 
     /// Performs a data access at `addr`. `pc` trains the stride prefetcher.
@@ -719,11 +763,25 @@ impl MemorySystem {
         pc: u64,
         now: u64,
     ) -> DataOutcome {
+        self.data_walk(core, privilege, addr, is_store, pc, now).0
+    }
+
+    /// [`MemorySystem::data_access`], also reporting the L1-D and DTLB
+    /// ways the walk left the line and its page at.
+    fn data_walk(
+        &mut self,
+        core: usize,
+        privilege: Privilege,
+        addr: u64,
+        is_store: bool,
+        pc: u64,
+        now: u64,
+    ) -> (DataOutcome, WalkWays) {
         let line = addr >> 6;
         let class = AccessClass::new(false, privilege);
 
         // DTLB.
-        let tlb_outcome = self.tlbs[core].translate_data(addr >> 12);
+        let (tlb_outcome, tlb_way) = self.tlbs[core].translate_data(addr >> 12);
         let tlb_pen = self.tlbs[core].penalty(tlb_outcome);
         let mut stlb_stall = 0;
         match tlb_outcome {
@@ -738,10 +796,10 @@ impl MemorySystem {
         }
 
         // L1-D.
-        let mut present = false;
+        let mut hit_way = None;
         let mut writable = false;
-        if let Some(meta) = self.l1d[core].lookup(line) {
-            present = true;
+        if let Some((way, meta)) = self.l1d[core].lookup(line) {
+            hit_way = Some(way);
             writable = meta.writable;
             if meta.prefetched {
                 meta.prefetched = false;
@@ -751,17 +809,18 @@ impl MemorySystem {
                 meta.dirty = true;
             }
         }
-        self.stats.per_core[core].l1d.record(class, present);
-        if present && (!is_store || writable) {
-            return DataOutcome {
+        self.stats.per_core[core].l1d.record(class, hit_way.is_some());
+        if let Some(l1) = hit_way.filter(|_| !is_store || writable) {
+            let outcome = DataOutcome {
                 latency: self.cfg.l1d.latency + tlb_pen,
                 level: ServiceLevel::L1,
                 offcore: false,
                 rw_shared: false,
                 stlb_stall,
             };
+            return (outcome, WalkWays { l1, tlb: tlb_way });
         }
-        let upgrade = present; // store hit on a shared (non-writable) line
+        let upgrade = hit_way.is_some(); // store hit on a shared (non-writable) line
         if upgrade {
             self.stats.per_core[core].upgrades += 1;
         }
@@ -781,22 +840,25 @@ impl MemorySystem {
         let (lat, level, rw_shared) =
             self.access_l2(core, privilege, false, is_store, line, pc, now, upgrade);
 
-        if upgrade {
-            if let Some(meta) = self.l1d[core].peek_mut(line) {
-                meta.writable = true;
-                meta.dirty = true;
+        let l1 = match hit_way {
+            Some(way) => {
+                if let Some(meta) = self.l1d[core].peek_mut(line) {
+                    meta.writable = true;
+                    meta.dirty = true;
+                }
+                way
             }
-        } else {
-            self.fill_l1(core, false, line, is_store, false, now);
-        }
+            None => self.fill_l1(core, false, line, is_store, false, now),
+        };
 
-        DataOutcome {
+        let outcome = DataOutcome {
             latency: lat + tlb_pen,
             level,
             offcore: level.is_offcore(),
             rw_shared,
             stlb_stall,
-        }
+        };
+        (outcome, WalkWays { l1, tlb: tlb_way })
     }
 
     // ------------------------------------------------------------------
@@ -820,7 +882,7 @@ impl MemorySystem {
 
         let mut present = false;
         let mut writable = false;
-        if let Some(meta) = self.l2[core].lookup(line) {
+        if let Some((_, meta)) = self.l2[core].lookup(line) {
             present = true;
             writable = meta.writable;
             if meta.prefetched {
@@ -889,13 +951,14 @@ impl MemorySystem {
         let socket = self.socket_of(core);
         let class = AccessClass::new(is_instr, privilege);
         let my_bit = self.local_bit(core);
+        let (cps, n_cores) = (self.cfg.cores_per_socket, self.n_cores);
         let mut rw_shared = false;
 
         // --- Local LLC probe ---
         let mut local_hit = false;
         let mut invalidate_mask: u16 = 0;
         let mut downgrade_mask: u16 = 0;
-        if let Some(meta) = self.llcs[socket].lookup(line) {
+        if let Some((_, meta)) = self.llcs[socket].lookup(line) {
             local_hit = true;
             if !is_prefetch && !is_instr {
                 if let Some(w) = meta.fresh_writer {
@@ -935,12 +998,12 @@ impl MemorySystem {
             }
         }
         if local_hit {
-            for c in self.cores_in_mask(socket, invalidate_mask).collect::<Vec<_>>() {
+            for c in Self::cores_in_mask(cps, n_cores, socket, invalidate_mask) {
                 self.l1d[c].invalidate(line);
                 self.l1i[c].invalidate(line);
                 self.l2[c].invalidate(line);
             }
-            for c in self.cores_in_mask(socket, downgrade_mask).collect::<Vec<_>>() {
+            for c in Self::cores_in_mask(cps, n_cores, socket, downgrade_mask) {
                 if let Some(m) = self.l1d[c].peek_mut(line) {
                     m.writable = false;
                 }
@@ -975,7 +1038,7 @@ impl MemorySystem {
             if found {
                 if want_write {
                     self.llcs[rs].invalidate(line);
-                    for c in self.cores_in_mask(rs, remote_invalidate).collect::<Vec<_>>() {
+                    for c in Self::cores_in_mask(cps, n_cores, rs, remote_invalidate) {
                         self.l1d[c].invalidate(line);
                         self.l1i[c].invalidate(line);
                         self.l2[c].invalidate(line);
@@ -1034,7 +1097,7 @@ impl MemorySystem {
             fresh_writer: if want_write { Some(core as u8) } else { None },
             tenant,
         };
-        if let Some(evicted) = self.llcs[socket].fill_masked(line, meta, mask) {
+        if let (_, Some(evicted)) = self.llcs[socket].fill_masked(line, meta, mask) {
             self.evict_llc_victim(core, socket, evicted, privilege, now);
         }
 
@@ -1052,7 +1115,8 @@ impl MemorySystem {
         now: u64,
     ) {
         let mut dirty = evicted.meta.dirty;
-        for c in self.cores_in_mask(socket, evicted.meta.sharers).collect::<Vec<_>>() {
+        let (cps, n_cores) = (self.cfg.cores_per_socket, self.n_cores);
+        for c in Self::cores_in_mask(cps, n_cores, socket, evicted.meta.sharers) {
             if let Some(m) = self.l1d[c].invalidate(evicted.line) {
                 dirty |= m.dirty;
             }
@@ -1085,7 +1149,7 @@ impl MemorySystem {
             fresh_writer: None,
             tenant: self.tenants[core],
         };
-        if let Some(evicted) = self.l2[core].fill(line, meta) {
+        if let (_, Some(evicted)) = self.l2[core].fill(line, meta) {
             if evicted.meta.dirty {
                 self.writeback_to_llc(core, evicted.line, now);
             }
@@ -1093,7 +1157,8 @@ impl MemorySystem {
     }
 
     /// Fills `line` into an L1, handling dirty victims (written through to
-    /// the L2, or to the LLC if the L2 no longer holds the line).
+    /// the L2, or to the LLC if the L2 no longer holds the line). Returns
+    /// the way the line was filled at.
     fn fill_l1(
         &mut self,
         core: usize,
@@ -1102,7 +1167,7 @@ impl MemorySystem {
         writable: bool,
         prefetched: bool,
         now: u64,
-    ) {
+    ) -> usize {
         let meta = LineMeta {
             dirty: false,
             writable,
@@ -1112,7 +1177,8 @@ impl MemorySystem {
             tenant: self.tenants[core],
         };
         let cache = if is_instr { &mut self.l1i[core] } else { &mut self.l1d[core] };
-        if let Some(evicted) = cache.fill(line, meta) {
+        let (way, evicted) = cache.fill(line, meta);
+        if let Some(evicted) = evicted {
             if evicted.meta.dirty {
                 if let Some(m) = self.l2[core].peek_mut(evicted.line) {
                     m.dirty = true;
@@ -1121,6 +1187,7 @@ impl MemorySystem {
                 }
             }
         }
+        way
     }
 
     /// Marks `line` dirty in the local LLC, or writes it to DRAM if the
@@ -1676,6 +1743,90 @@ mod tests {
         }
         assert_eq!(detailed.warm_state_digest(), warmed.warm_state_digest());
         assert_eq!(detailed.stats().per_core, warmed.stats().per_core);
+    }
+
+    #[test]
+    fn cores_in_mask_walks_the_socket_sharers_in_order() {
+        // Against the filter it replaced, on every socket of machines with
+        // a partial last socket, including sockets past the sixteenth core.
+        for cps in [1usize, 2, 4, 6, 16] {
+            for n_cores in [cps, 2 * cps - 1, 5 * cps] {
+                for socket in 0..n_cores.div_ceil(cps) {
+                    for mask in (0..=u16::MAX).step_by(7).chain([u16::MAX]) {
+                        let want: Vec<usize> = (0..cps)
+                            .filter(|i| mask & (1 << i) != 0)
+                            .map(|i| socket * cps + i)
+                            .filter(|&c| c < n_cores)
+                            .collect();
+                        let got: Vec<usize> =
+                            MemorySystem::cores_in_mask(cps, n_cores, socket, mask).collect();
+                        assert_eq!(got, want, "{cps} per socket, {n_cores} cores, mask {mask:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that, if `addr`'s line sits in `core`'s L1 (L1-I when
+    /// `instr`), the core's memo entry for the line names a way holding it
+    /// and a first-level-TLB way holding its page, under the core's
+    /// tenant.
+    fn assert_memo_names_the_line(m: &MemorySystem, core: usize, addr: u64, instr: bool) {
+        let (line, page) = (addr >> 6, addr >> 12);
+        let (l1, table) = if instr {
+            (&m.l1i[core], &m.warm_instr[core])
+        } else {
+            (&m.l1d[core], &m.warm_data[core])
+        };
+        if l1.peek(line).is_none() {
+            return;
+        }
+        let e = table[(line as usize) & (WARM_MEMO_SLOTS - 1)];
+        let tlb = &m.tlbs[core];
+        let page_held = if instr {
+            tlb.itlb_way_holds(e.tlb_way as usize, page)
+        } else {
+            tlb.dtlb_way_holds(e.tlb_way as usize, page)
+        };
+        assert_eq!((e.line, e.tenant), (line, m.tenants[core]), "memo of line {line:#x}");
+        assert!(l1.way_holds(e.l1_way as usize, line).is_some(), "L1 way of line {line:#x}");
+        assert!(page_held, "TLB way of page {page:#x}");
+    }
+
+    #[test]
+    fn warm_memos_record_where_the_walk_left_the_line() {
+        // Two cores of one socket, prefetchers on, thrash L1-D and L1-I
+        // with loads, stores (upgrades of lines they loaded, invalidations
+        // of each other's copies) and fetches, each repeated up to three
+        // times so memos replay. After every access the memo must name the
+        // line wherever it sits; the replay counts pin how often the memos
+        // served, so a change that silently stops recording shows.
+        let cfg = MemSysConfig::default();
+        let mut warmed = MemorySystem::new(cfg.clone(), 2);
+        let mut detailed = MemorySystem::new(cfg.clone(), 2);
+        let l1d_lines = cfg.l1d.size_bytes / 64;
+        let l1i_lines = cfg.l1i.size_bytes / 64;
+        for i in 0..12_000u64 {
+            let r = cs_trace::rng::splitmix64(0x3E3B_0000 + i);
+            let core = (r & 1) as usize;
+            let is_store = (r >> 1).is_multiple_of(4);
+            let data = 0x2000_0000 + (r >> 8) % (3 * l1d_lines) * 64;
+            let pc = 0x40_0000 + (r >> 24) % (2 * l1i_lines) * 64 + (r >> 40) % 16 * 4;
+            for _ in 0..=(r >> 48) % 3 {
+                warmed.data_access_warm(core, Privilege::User, data, is_store, pc, i);
+                assert_memo_names_the_line(&warmed, core, data, false);
+                warmed.ifetch_warm(core, Privilege::User, pc, i);
+                assert_memo_names_the_line(&warmed, core, pc, true);
+                detailed.data_access(core, Privilege::User, data, is_store, pc, i);
+                detailed.ifetch(core, Privilege::User, pc, i);
+            }
+        }
+        assert!(warmed.stats().per_core.iter().all(|c| c.upgrades > 0), "no upgrades driven");
+        assert_eq!(warmed.warm_state_digest(), detailed.warm_state_digest());
+        assert_eq!(warmed.stats().per_core, detailed.stats().per_core);
+        // The same stream replays exactly as often when the memo is
+        // recorded by re-scanning L1 and TLB after each walk.
+        assert_eq!(warmed.warm_replays, (12_781, 15_140), "replays (data, instruction)");
     }
 
     #[test]

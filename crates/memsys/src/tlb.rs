@@ -42,9 +42,9 @@ impl TlbHierarchy {
         }
     }
 
-    fn translate(first: &mut Cache, stlb: &mut Cache, page: u64) -> TlbOutcome {
-        if first.lookup(page).is_some() {
-            return TlbOutcome::L1;
+    fn translate(first: &mut Cache, stlb: &mut Cache, page: u64) -> (TlbOutcome, usize) {
+        if let Some((way, _)) = first.lookup(page) {
+            return (TlbOutcome::L1, way);
         }
         let outcome = if stlb.lookup(page).is_some() {
             TlbOutcome::Stlb
@@ -52,29 +52,21 @@ impl TlbHierarchy {
             stlb.fill(page, LineMeta::clean());
             TlbOutcome::Walk
         };
-        first.fill(page, LineMeta::clean());
-        outcome
+        let (way, _) = first.fill(page, LineMeta::clean());
+        (outcome, way)
     }
 
-    /// Translates an instruction-fetch page.
-    pub fn translate_instr(&mut self, page: u64) -> TlbOutcome {
+    /// Translates an instruction-fetch page. Returns the outcome and the
+    /// instruction-TLB way the page now sits at, where it hit or where it
+    /// was filled.
+    pub fn translate_instr(&mut self, page: u64) -> (TlbOutcome, usize) {
         Self::translate(&mut self.itlb, &mut self.stlb, page)
     }
 
-    /// Translates a data page.
-    pub fn translate_data(&mut self, page: u64) -> TlbOutcome {
+    /// Translates a data page. Returns the outcome and the data-TLB way
+    /// the page now sits at, where it hit or where it was filled.
+    pub fn translate_data(&mut self, page: u64) -> (TlbOutcome, usize) {
         Self::translate(&mut self.dtlb, &mut self.stlb, page)
-    }
-
-    /// Way index of `page` in the data TLB, if resident (no LRU touch).
-    pub fn dtlb_way_of(&self, page: u64) -> Option<usize> {
-        self.dtlb.probe(page).map(|(way, _)| way)
-    }
-
-    /// Way index of `page` in the instruction TLB, if resident (no LRU
-    /// touch).
-    pub fn itlb_way_of(&self, page: u64) -> Option<usize> {
-        self.itlb.probe(page).map(|(way, _)| way)
     }
 
     /// Whether `way` of the data TLB currently holds `page` (no LRU
@@ -144,8 +136,8 @@ mod tests {
     #[test]
     fn first_access_walks_then_hits() {
         let mut t = tlb();
-        assert_eq!(t.translate_data(42), TlbOutcome::Walk);
-        assert_eq!(t.translate_data(42), TlbOutcome::L1);
+        assert_eq!(t.translate_data(42).0, TlbOutcome::Walk);
+        assert_eq!(t.translate_data(42).0, TlbOutcome::L1);
     }
 
     #[test]
@@ -156,7 +148,7 @@ mod tests {
             t.translate_data(page);
         }
         // Page 0 fell out of the DTLB but should still be in the STLB.
-        let outcome = t.translate_data(0);
+        let outcome = t.translate_data(0).0;
         assert_ne!(outcome, TlbOutcome::L1);
         // Some early page must still be STLB-resident.
         let stlb_hits = (0..256u64)
@@ -166,15 +158,15 @@ mod tests {
     }
 
     fn tlb_probe(t: &mut TlbHierarchy, page: u64) -> TlbOutcome {
-        t.translate_data(page)
+        t.translate_data(page).0
     }
 
     #[test]
     fn instruction_and_data_tlbs_are_separate() {
         let mut t = tlb();
-        assert_eq!(t.translate_instr(7), TlbOutcome::Walk);
+        assert_eq!(t.translate_instr(7).0, TlbOutcome::Walk);
         // Data side misses its own L1 TLB but hits the shared STLB.
-        assert_eq!(t.translate_data(7), TlbOutcome::Stlb);
+        assert_eq!(t.translate_data(7).0, TlbOutcome::Stlb);
     }
 
     #[test]
@@ -193,6 +185,6 @@ mod tests {
             t.translate_data(page);
         }
         // A random old page walks again.
-        assert_eq!(t.translate_data(3), TlbOutcome::Walk);
+        assert_eq!(t.translate_data(3).0, TlbOutcome::Walk);
     }
 }

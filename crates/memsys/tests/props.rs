@@ -202,13 +202,14 @@ fn check_way_partition(sets: usize, picks: &[(bool, u64)]) {
         let tenant = usize::from(second);
         let line = line * 2 + tenant as u64;
         let meta = LineMeta { tenant: tenant as u8, ..LineMeta::clean() };
-        if let Some(v) = c.fill_masked(line, meta, MASKS[tenant]) {
+        let (way, evicted) = c.fill_masked(line, meta, MASKS[tenant]);
+        if let Some(v) = evicted {
             assert_eq!(
                 v.meta.tenant, tenant as u8,
                 "tenant {tenant} evicted a line of tenant {}", v.meta.tenant
             );
         }
-        let (way, meta) = c.probe(line).expect("just-filled line must be resident");
+        let meta = c.way_holds(way, line).expect("just-filled line must sit at its way");
         assert_eq!(meta.tenant, tenant as u8);
         assert!(
             MASKS[tenant] & (1u64 << (way % ASSOC)) != 0,
